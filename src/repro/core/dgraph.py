@@ -32,7 +32,21 @@ from repro.data.mixture import MixSchedule
 #: columns every buffer DataFrame must carry
 BUFFER_KEY_COLS = ("sample_id", "source_id", "row_idx", "step")
 
+#: the columns a plan appends to each sample row
+PLAN_FIELDS = (
+    T.StructField("cost", T.DoubleType(), False),
+    T.StructField("bucket", T.IntegerType(), False),
+    T.StructField("mb", T.IntegerType(), False),
+)
+
 CostFn = Callable[[pd.DataFrame], np.ndarray]
+
+
+def sample_id(source_id, row_idx):
+    """The globally unique id of row ``row_idx`` of source ``source_id``:
+    ``source_id * 2**40 + row_idx``. Takes Spark columns or pandas/numpy
+    integers; callers pass 64-bit operands."""
+    return source_id * (1 << 40) + row_idx
 
 
 def with_sample_id(df: DataFrame) -> DataFrame:
@@ -40,8 +54,7 @@ def with_sample_id(df: DataFrame) -> DataFrame:
     from pyspark.sql import functions as F
 
     return df.withColumn(
-        "sample_id",
-        (F.col("source_id").cast("long") * F.lit(1 << 40)) + F.col("row_idx"),
+        "sample_id", sample_id(F.col("source_id").cast("long"), F.col("row_idx"))
     )
 
 
@@ -176,30 +189,25 @@ class DGraph:
 
     # -- execution -----------------------------------------------------------
 
-    def plan(self) -> LoadingPlan:
-        """Execute mix → cost → balance per step, distributed over steps."""
+    def step_planner(self) -> "_StepPlanner":
+        """The per-step planning function this graph's primitives declare."""
         if self._tree is None or self._axis is None:
             raise RuntimeError("call distribute() before plan()")
-        n_buckets = self._tree.n_buckets(self._axis, self._group_size)
-        n_bins = self._n_microbatches
-        planner = _StepPlanner(
+        return _StepPlanner(
             schedule=self._schedule,
             batch_size=self._batch_size,
             cost_fn=self._cost_fn,
             method=self._balance_method,
             intra_reorder=self._intra_reorder,
-            n_buckets=n_buckets,
-            n_bins=n_bins,
+            n_buckets=self._tree.n_buckets(self._axis, self._group_size),
+            n_bins=self._n_microbatches,
         )
+
+    def plan(self) -> LoadingPlan:
+        """Execute mix → cost → balance per step, distributed over steps."""
+        planner = self.step_planner()
         keep = [*BUFFER_KEY_COLS, *self.fields]
-        schema = T.StructType(
-            [self.df.schema[c] for c in keep]
-            + [
-                T.StructField("cost", T.DoubleType(), False),
-                T.StructField("bucket", T.IntegerType(), False),
-                T.StructField("mb", T.IntegerType(), False),
-            ]
-        )
+        schema = T.StructType([self.df.schema[c] for c in keep] + list(PLAN_FIELDS))
         def run_step(pdf: pd.DataFrame) -> pd.DataFrame:
             return planner(pdf)
 
@@ -212,8 +220,8 @@ class DGraph:
             tree=self._tree,
             axis=self._axis,
             group_size=self._group_size,
-            n_buckets=n_buckets,
-            n_microbatches=n_bins,
+            n_buckets=planner.n_buckets,
+            n_microbatches=planner.n_bins,
             broadcast_dims=self._broadcast_dims,
             lineage=self._edge(g, "plan"),
         )

@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.constructor import DataConstructor
-from repro.core.dgraph import LoadingPlan, _StepPlanner
+from repro.core.dgraph import LoadingPlan, _StepPlanner, sample_id
 from repro.core.placetree import ClientPlaceTree
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixSchedule, MovingAverageTracker
@@ -77,7 +77,6 @@ class Planner:
         self.lo = lo_threshold
         self.tracker = MovingAverageTracker(schedule.n_sources, window=ma_window)
         self.step = 0
-        self._plans: list[StepPlan] = []
 
     # -- low-level interfaces (§4.2 "low-level programming interfaces") -------
 
@@ -90,9 +89,9 @@ class Planner:
         ]
         out = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
         if len(out):
-            out["sample_id"] = out["source_id"].astype("int64") * (1 << 40) + out[
-                "row_idx"
-            ].astype("int64")
+            out["sample_id"] = sample_id(
+                out["source_id"].astype("int64"), out["row_idx"].astype("int64")
+            )
             out["step"] = self.step
         return out
 
@@ -163,7 +162,6 @@ class Planner:
             step=self.step, assignments=assigned, per_loader_rows=per_loader
         )
         self.loader_do_plan(plan)
-        self._plans.append(plan)
         self.tracker.observe(self.schedule.weights(self.step), self.hi, self.lo)
         self.step += 1
         return plan

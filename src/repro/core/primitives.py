@@ -1,4 +1,4 @@
-"""Ready-made orchestration strategies (Fig. 9) and plan combination.
+"""Ready-made orchestration strategies (Fig. 9).
 
 The paper shows two worked strategies built from the primitives:
 
@@ -6,13 +6,12 @@ The paper shows two worked strategies built from the primitives:
   ranks with a token-count cost model (seven lines in the paper).
 - ``vlm_hybrid_balance`` — the multimodal extension: an image DGraph is
   derived from the *same* buffer with different metadata, distributed
-  world-wide for the encoder, balanced, then combined with the LLM plan
-  (five additional lines in the paper).
-
-``merge_plans`` joins a backbone plan and an encoder plan on
-``sample_id`` into one routing table with separate (bucket, mb) columns
-per module — the Data Constructor routes text/fused sequences by the
-``llm_*`` columns and raw images by the ``enc_*`` columns.
+  world-wide for the encoder and balanced over the samples the backbone
+  plan admitted (five additional lines in the paper). Both graphs plan
+  in one per-step function that emits one routing table with separate
+  (bucket, mb) columns per module — the Data Constructor routes
+  text/fused sequences by the ``llm_*`` columns and raw images by the
+  ``enc_*`` columns.
 """
 from __future__ import annotations
 
@@ -21,8 +20,9 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import types as T
 
-from repro.core.dgraph import DGraph, LoadingPlan
+from repro.core.dgraph import BUFFER_KEY_COLS, PLAN_FIELDS, DGraph, LoadingPlan
 from repro.core.placetree import AXIS_WORLD, ClientPlaceTree
 from repro.data.mixture import MixSchedule
 from repro.sim.models import ModelConfig, sample_backbone_cost, sample_encoder_cost
@@ -52,6 +52,37 @@ def encoder_cost_fn(cfg: ModelConfig) -> Callable[[pd.DataFrame], np.ndarray]:
     return fn
 
 
+def _sampled(
+    buffer_df: DataFrame, schedule: MixSchedule | None, batch_size: int | None
+) -> DGraph:
+    """The buffer's sample graph, mixed by ``schedule`` when one is given."""
+    g = DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
+    if schedule is None:
+        return g
+    if batch_size is None:
+        raise ValueError("mix() needs a batch_size")
+    return g.mix(schedule, batch_size)
+
+
+def _llm_graph(
+    buffer_df: DataFrame,
+    tree: ClientPlaceTree,
+    backbone: ModelConfig,
+    schedule: MixSchedule | None,
+    batch_size: int | None,
+    n_microbatches: int,
+    method: str,
+    intra_reorder: bool = True,
+) -> DGraph:
+    """The backbone graph shared by ``llm_balance`` and the hybrid."""
+    return (
+        _sampled(buffer_df, schedule, batch_size)
+        .distribute("DP", tree, n_microbatches=n_microbatches)
+        .cost(llm_cost_fn(backbone))
+        .balance(method, intra_reorder=intra_reorder)
+    )
+
+
 def llm_balance(
     buffer_df: DataFrame,
     tree: ClientPlaceTree,
@@ -66,40 +97,12 @@ def llm_balance(
 ) -> LoadingPlan:
     """Fig. 9's unimodal strategy: distribute along DP, cost by fused
     token count, balance inter-microbatch, broadcast at TP."""
-    g = DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
-    if schedule is not None:
-        if batch_size is None:
-            raise ValueError("mix() needs a batch_size")
-        g = g.mix(schedule, batch_size)
-    g = g.distribute("DP", tree, n_microbatches=n_microbatches)
-    g = g.cost(llm_cost_fn(backbone))
-    g = g.balance(method, intra_reorder=intra_reorder)
+    g = _llm_graph(
+        buffer_df, tree, backbone, schedule, batch_size, n_microbatches, method,
+        intra_reorder,
+    )
     if broadcast_tp and tree.dims.get("TP", 1) > 1:
         g = g.broadcast_at("TP")
-    return g.plan()
-
-
-def encoder_balance(
-    buffer_df: DataFrame,
-    tree: ClientPlaceTree,
-    encoder: ModelConfig,
-    *,
-    schedule: MixSchedule | None = None,
-    batch_size: int | None = None,
-    n_microbatches: int = 1,
-    method: str = "karmarkar_karp",
-) -> LoadingPlan:
-    """Interleaved image balancing for the encoder: images distributed
-    across all ranks (world-wide data parallelism) and balanced by
-    per-image encoder cost."""
-    g = DGraph.from_buffer(buffer_df, fields=["image_patches"])
-    if schedule is not None:
-        if batch_size is None:
-            raise ValueError("mix() needs a batch_size")
-        g = g.mix(schedule, batch_size)
-    g = g.distribute(AXIS_WORLD, tree, n_microbatches=n_microbatches)
-    g = g.cost(encoder_cost_fn(encoder))
-    g = g.balance(method)
     return g.plan()
 
 
@@ -114,37 +117,8 @@ def vanilla_plan(
 ) -> LoadingPlan:
     """No scheduling: samples assigned round-robin in arrival order —
     the paper's Vanilla baseline."""
-    g = DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
-    if schedule is not None:
-        if batch_size is None:
-            raise ValueError("mix() needs a batch_size")
-        g = g.mix(schedule, batch_size)
-    g = g.distribute(axis, tree, n_microbatches=n_microbatches)
-    return g.plan()
-
-
-def merge_plans(llm: LoadingPlan, enc: LoadingPlan) -> DataFrame:
-    """Join backbone and encoder plans on sample_id into one routing
-    table: (sample keys, metadata, llm_bucket, llm_mb, llm_cost,
-    enc_bucket, enc_mb, enc_cost)."""
-    l = llm.assignments.select(
-        "sample_id",
-        "source_id",
-        "row_idx",
-        "step",
-        "text_len",
-        "image_patches",
-        llm.assignments["cost"].alias("llm_cost"),
-        llm.assignments["bucket"].alias("llm_bucket"),
-        llm.assignments["mb"].alias("llm_mb"),
-    )
-    e = enc.assignments.select(
-        "sample_id",
-        enc.assignments["cost"].alias("enc_cost"),
-        enc.assignments["bucket"].alias("enc_bucket"),
-        enc.assignments["mb"].alias("enc_mb"),
-    )
-    return l.join(e, on="sample_id", how="inner")
+    g = _sampled(buffer_df, schedule, batch_size)
+    return g.distribute(axis, tree, n_microbatches=n_microbatches).plan()
 
 
 def vlm_hybrid_balance(
@@ -158,22 +132,38 @@ def vlm_hybrid_balance(
     n_microbatches: int = 1,
     method: str = "karmarkar_karp",
 ) -> DataFrame:
-    """Fig. 9's multimodal strategy: balance images for the encoder and
-    fused sequences for the backbone, then combine into a global plan."""
-    llm = llm_balance(
-        buffer_df,
-        tree,
-        backbone,
-        schedule=schedule,
-        batch_size=batch_size,
-        n_microbatches=n_microbatches,
-        method=method,
+    """Fig. 9's multimodal strategy: balance fused sequences for the
+    backbone and images for the encoder in one per-step plan, returning
+    the routing table (sample keys, metadata, llm_cost/llm_bucket/llm_mb,
+    enc_cost/enc_bucket/enc_mb)."""
+    text = _llm_graph(
+        buffer_df, tree, backbone, schedule, batch_size, n_microbatches, method
     )
-    # the image DGraph must see exactly the samples the LLM plan admitted
-    admitted = llm.assignments.select(
-        "sample_id", "source_id", "row_idx", "step", "image_patches"
+    image = (
+        text.select_modality(["image_patches"])
+        .distribute(AXIS_WORLD, tree, n_microbatches=n_microbatches)
+        .cost(encoder_cost_fn(encoder))
+        .balance(method)
     )
-    enc = encoder_balance(
-        admitted, tree, encoder, n_microbatches=n_microbatches, method=method
+    plan_llm, plan_enc = text.step_planner(), image.step_planner()
+    image_cols = [*BUFFER_KEY_COLS, *image.fields]
+    plan_cols = [f.name for f in PLAN_FIELDS]
+
+    def run_step(pdf: pd.DataFrame) -> pd.DataFrame:
+        llm = plan_llm(pdf)
+        # the image graph sees exactly the samples the backbone step admitted
+        enc = plan_enc(llm[image_cols])[["sample_id", *plan_cols]]
+        return llm.rename(columns={c: f"llm_{c}" for c in plan_cols}).merge(
+            enc.rename(columns={c: f"enc_{c}" for c in plan_cols}), on="sample_id"
+        )
+
+    keep = [*BUFFER_KEY_COLS, *text.fields]
+    schema = T.StructType(
+        [buffer_df.schema[c] for c in keep]
+        + [
+            T.StructField(f"{m}_{f.name}", f.dataType, False)
+            for m in ("llm", "enc")
+            for f in PLAN_FIELDS
+        ]
     )
-    return merge_plans(llm, enc)
+    return buffer_df.select(*keep).groupBy("step").applyInPandas(run_step, schema=schema)

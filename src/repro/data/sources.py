@@ -302,12 +302,13 @@ def write_parquet_sources(
     on-disk substrate Source Loaders read through Spark. Returns
     {source name: path}. Rows are sorted by ``row_idx`` so positional
     cursor reads are well-defined."""
-    df = generate_samples(spark, specs, rows_per_source, seed=seed)
     paths: dict[str, str] = {}
     for spec in specs:
+        # one job per source: generation hashes (seed, source, row), so a
+        # source's rows do not depend on the sources generated with it
         path = f"{base_dir}/{spec.name}"
         (
-            df.filter(F.col("source_id") == spec.source_id)
+            generate_samples(spark, [spec], rows_per_source, seed=seed)
             .repartition(1)
             .sortWithinPartitions("row_idx")
             .write.mode("overwrite")

@@ -4,7 +4,8 @@ For a (backbone, encoder, context length, dataset, strategy) cell:
 
 1. generate a multi-step sample buffer from the dataset's sources,
    cropping samples to the context budget (half for images, the rest
-   for text — the framework's crop transform);
+   for text — the framework's crop transform); one buffer serves every
+   cell of a (dataset, context length);
 2. plan every step with the requested strategy — Vanilla (round-robin
    arrival), Backbone balance (LLM-cost Karmarkar–Karp across DP ranks,
    encoder follows), or Hybrid balance (backbone + world-wide image
@@ -21,6 +22,7 @@ strategies remove.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -81,6 +83,22 @@ def build_buffer(
     return df
 
 
+def _routing(
+    strategy: str,
+    buffer: DataFrame,
+    tree: ClientPlaceTree,
+    bb: ModelConfig,
+    enc: ModelConfig,
+    n_microbatches: int,
+) -> DataFrame:
+    """The routing table ``strategy`` plans over ``buffer``."""
+    if strategy == "vanilla":
+        return vanilla_plan(buffer, tree, n_microbatches=n_microbatches).assignments
+    if strategy == "backbone":
+        return llm_balance(buffer, tree, bb, n_microbatches=n_microbatches).assignments
+    return vlm_hybrid_balance(buffer, tree, bb, enc, n_microbatches=n_microbatches)
+
+
 def run_cell(
     spark: SparkSession,
     *,
@@ -89,60 +107,19 @@ def run_cell(
     context_length: int,
     dataset: str,
     strategy: str,
-    dp: int = 8,
-    n_microbatches: int = 4,
-    samples_per_gpu: int = 72,
-    pp: int = 4,
-    n_steps: int = 3,
-    seed: int = 0,
+    **kwargs,
 ) -> E2Cell:
-    """Measure one configuration cell (§7.1: per-GPU batch of 72; the
-    §7.2 trainer geometry uses PP=4, whose 1F1B bubble the straggler
-    microbatch paces)."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    specs = DATASETS[dataset]()
-    bb: ModelConfig = BACKBONES[backbone]
-    enc: ModelConfig = ENCODERS[encoder]
-    tree = ClientPlaceTree.from_degrees(dp=dp)
-    batch = samples_per_gpu * dp
-    buffer = build_buffer(
+    """Measure one configuration cell: ``run_grid`` over single values."""
+    (cell,) = run_grid(
         spark,
-        specs,
-        context_length=context_length,
-        n_steps=n_steps,
-        batch_size=batch,
-        seed=seed,
+        backbones=(backbone,),
+        encoders=(encoder,),
+        context_lengths=(context_length,),
+        datasets=(dataset,),
+        strategies=(strategy,),
+        **kwargs,
     )
-
-    if strategy == "vanilla":
-        routing = vanilla_plan(buffer, tree, n_microbatches=n_microbatches).assignments
-    elif strategy == "backbone":
-        routing = llm_balance(
-            buffer, tree, bb, n_microbatches=n_microbatches
-        ).assignments
-    else:
-        routing = vlm_hybrid_balance(buffer, tree, bb, enc, n_microbatches=n_microbatches)
-
-    s = simulate(
-        routing,
-        bb,
-        enc,
-        context_length=context_length,
-        n_ranks=dp,
-        n_microbatches=n_microbatches,
-        pp=pp,
-    ).summary()
-    return E2Cell(
-        backbone=backbone,
-        encoder=encoder,
-        context_length=context_length,
-        dataset=dataset,
-        strategy=strategy,
-        throughput=s["throughput_tokens_per_s"],
-        mean_iter_s=s["mean_iter_s"],
-        tokens=s["tokens"],
-    )
+    return cell
 
 
 def run_grid(
@@ -153,27 +130,55 @@ def run_grid(
     context_lengths: tuple[int, ...] = (4096, 8192, 16384),
     datasets: tuple[str, ...] = ("coyo700m", "navit_data"),
     strategies: tuple[str, ...] = STRATEGIES,
-    **kwargs,
+    dp: int = 8,
+    n_microbatches: int = 4,
+    samples_per_gpu: int = 72,
+    pp: int = 4,
+    n_steps: int = 3,
+    seed: int = 0,
 ) -> list[E2Cell]:
-    """The full Fig. 13 sweep."""
-    cells = []
+    """The Fig. 13 sweep (§7.1: per-GPU batch of 72; the §7.2 trainer
+    geometry uses PP=4, whose 1F1B bubble the straggler microbatch
+    paces). Each (dataset, context length) buffer is built and cached
+    once and planned for all of its (backbone, encoder, strategy) cells;
+    cells are returned in (dataset, backbone, encoder, context length,
+    strategy) order."""
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown strategy {unknown[0]!r}")
+    tree = ClientPlaceTree.from_degrees(dp=dp)
+    cells = {}
     for ds in datasets:
-        for bb in backbones:
-            for enc in encoders:
-                for ctx in context_lengths:
-                    for st in strategies:
-                        cells.append(
-                            run_cell(
-                                spark,
-                                backbone=bb,
-                                encoder=enc,
-                                context_length=ctx,
-                                dataset=ds,
-                                strategy=st,
-                                **kwargs,
-                            )
-                        )
-    return cells
+        specs = DATASETS[ds]()
+        for ctx in context_lengths:
+            buffer = build_buffer(
+                spark, specs, context_length=ctx, n_steps=n_steps,
+                batch_size=samples_per_gpu * dp, seed=seed,
+            ).cache()
+            try:
+                for bb, enc, st in product(backbones, encoders, strategies):
+                    bb_cfg, enc_cfg = BACKBONES[bb], ENCODERS[enc]
+                    routing = _routing(st, buffer, tree, bb_cfg, enc_cfg, n_microbatches)
+                    s = simulate(
+                        routing, bb_cfg, enc_cfg, context_length=ctx, n_ranks=dp,
+                        n_microbatches=n_microbatches, pp=pp,
+                    ).summary()
+                    cells[ds, bb, enc, ctx, st] = E2Cell(
+                        backbone=bb,
+                        encoder=enc,
+                        context_length=ctx,
+                        dataset=ds,
+                        strategy=st,
+                        throughput=s["throughput_tokens_per_s"],
+                        mean_iter_s=s["mean_iter_s"],
+                        tokens=s["tokens"],
+                    )
+            finally:
+                buffer.unpersist()
+    return [
+        cells[key]
+        for key in product(datasets, backbones, encoders, context_lengths, strategies)
+    ]
 
 
 def speedups(cells: list[E2Cell]) -> list[dict]:

@@ -33,7 +33,7 @@ from pyspark.sql import functions as F
 
 from repro.sim.models import GPU_FLOPS, ModelConfig, attention_coeff, linear_coeff
 
-#: routing-table columns trainsim expects (merge_plans output)
+#: routing-table columns trainsim expects (``vlm_hybrid_balance`` output)
 ROUTING_COLS = (
     "step",
     "text_len",

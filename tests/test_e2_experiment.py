@@ -89,17 +89,37 @@ class TestGridAndSpeedups:
         sp = speedups(cells)
         assert all(r["speedup"] > 1.1 for r in sp)
 
+    def test_grid_equals_cells(self, spark, coyo_cells):
+        """One shared buffer per (dataset, context) gives the cells that
+        separate run_cell calls give."""
+        cells = run_grid(
+            spark,
+            backbones=("llama-12b",),
+            encoders=("vit-2b",),
+            context_lengths=(4096, 16384),
+            datasets=("coyo700m",),
+            **FAST,
+        )
+        assert cells == coyo_cells
+
     def test_unknown_strategy(self, spark):
-        with pytest.raises(ValueError):
-            run_cell(
-                spark,
-                backbone="llama-12b",
-                encoder="vit-1b",
-                context_length=4096,
-                dataset="coyo700m",
-                strategy="zigzag",
-                **FAST,
-            )
+        sc = spark.sparkContext
+        sc.setJobGroup("unknown-strategy", "unknown-strategy")
+        try:
+            with pytest.raises(ValueError):
+                run_cell(
+                    spark,
+                    backbone="llama-12b",
+                    encoder="vit-1b",
+                    context_length=4096,
+                    dataset="coyo700m",
+                    strategy="zigzag",
+                    **FAST,
+                )
+        finally:
+            sc.setJobGroup("", "")
+        # rejected before any Spark work
+        assert len(sc.statusTracker().getJobIdsForGroup("unknown-strategy")) == 0
 
 
 class TestNavit:

@@ -1,6 +1,9 @@
 """End-to-end integration: Parquet sources → Source Loaders → Planner →
 Data Constructors → per-client payloads (the §3 workflow), with oracle
 checks on delivery correctness."""
+import gc
+import weakref
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -156,6 +159,22 @@ class TestPlannerWorkflow:
         pl2 = make_planner(self._loaders())
         pl2.restore(ck)
         assert pl2.step == 1
+
+    def test_plan_freed_once_dropped(self):
+        """The Planner keeps no reference to the plans it returns."""
+        pl = make_planner(self._loaders())
+        pl.ensure_buffered(20)
+        plan = weakref.ref(pl.plan_step())
+        gc.collect()
+        assert plan() is None
+
+    def test_summary_sample_ids_match_dgraph(self, spark):
+        pl = make_planner(self._loaders())
+        pl.ensure_buffered(20)
+        summary = pl.summary_buffer()
+        keys = spark.createDataFrame(summary[["source_id", "row_idx"]])
+        expect = with_sample_id(keys).toPandas()["sample_id"]
+        assert summary["sample_id"].tolist() == expect.tolist()
 
     def test_empty_buffer_raises(self):
         pl = make_planner(self._loaders())

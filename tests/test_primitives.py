@@ -1,13 +1,13 @@
-"""Tests for Fig. 9 orchestration strategies and plan merging."""
+"""Tests for Fig. 9 orchestration strategies and the hybrid routing table."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.dgraph import with_sample_id
-from repro.core.placetree import ClientPlaceTree
+from repro.core.dgraph import DGraph, with_sample_id
+from repro.core.placetree import AXIS_WORLD, ClientPlaceTree
 from repro.core.primitives import (
-    encoder_balance,
+    encoder_cost_fn,
     llm_balance,
-    merge_plans,
     vanilla_plan,
     vlm_hybrid_balance,
 )
@@ -57,17 +57,6 @@ class TestLLMBalance:
             llm_balance(buffer_df, TREE, LLAMA, schedule=ConstantSchedule([1] * 5))
 
 
-class TestEncoderBalance:
-    def test_world_axis(self, buffer_df):
-        plan = encoder_balance(buffer_df, TREE, VIT)
-        assert plan.axis == "WORLD"
-        assert plan.n_buckets == TREE.world_size
-
-    def test_balances_encoder_cost(self, buffer_df):
-        plan = encoder_balance(buffer_df, TREE, VIT, n_microbatches=2)
-        assert _spread(plan.to_pandas(), "bucket", "cost") < 1.1
-
-
 class TestVanilla:
     def test_no_cost_column_information(self, buffer_df):
         plan = vanilla_plan(buffer_df, TREE, n_microbatches=2)
@@ -82,20 +71,18 @@ class TestVanilla:
 
 class TestMerge:
     def test_merge_preserves_samples(self, buffer_df):
+        merged = vlm_hybrid_balance(buffer_df, TREE, LLAMA, VIT, n_microbatches=2)
         llm = llm_balance(buffer_df, TREE, LLAMA, n_microbatches=2)
-        admitted = llm.assignments.select(
-            "sample_id", "source_id", "row_idx", "step", "image_patches"
-        )
-        enc = encoder_balance(admitted, TREE, VIT, n_microbatches=2)
-        merged = merge_plans(llm, enc)
-        assert merged.count() == llm.assignments.count()
+        assert merged.count() == llm.assignments.count() == buffer_df.count()
 
     def test_merged_columns(self, buffer_df):
         merged = vlm_hybrid_balance(
             buffer_df, TREE, LLAMA, VIT, n_microbatches=2
         )
-        cols = set(merged.columns)
-        assert {"llm_bucket", "llm_mb", "enc_bucket", "enc_mb"} <= cols
+        assert merged.columns == [
+            "sample_id", "source_id", "row_idx", "step", "text_len", "image_patches",
+            "llm_cost", "llm_bucket", "llm_mb", "enc_cost", "enc_bucket", "enc_mb",
+        ]
 
     def test_hybrid_balances_both_modules(self, buffer_df):
         merged = vlm_hybrid_balance(
@@ -110,3 +97,47 @@ class TestMerge:
             buffer_df, TREE, LLAMA, VIT, schedule=sched, batch_size=60
         ).toPandas()
         assert (merged.groupby("step").size() == 60).all()
+
+    def test_encoder_buckets_span_world(self, buffer_df):
+        """Backbone buckets are DP groups; encoder buckets are all ranks."""
+        tree = ClientPlaceTree.from_degrees(dp=2, tp=2)
+        merged = vlm_hybrid_balance(
+            buffer_df, tree, LLAMA, VIT, n_microbatches=2
+        ).toPandas()
+        assert set(merged["llm_bucket"]) == set(range(tree.n_buckets("DP")))
+        assert set(merged["enc_bucket"]) == set(range(tree.world_size))
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_separate_plans(self, buffer_df, mixed):
+        """Per sample, the hybrid table holds the backbone plan and the
+        encoder plan over the samples the backbone plan admitted."""
+        mix = dict(schedule=ConstantSchedule([3, 1, 1, 2, 1]), batch_size=60) if mixed else {}
+        merged = vlm_hybrid_balance(buffer_df, TREE, LLAMA, VIT, n_microbatches=2, **mix)
+        llm = llm_balance(buffer_df, TREE, LLAMA, n_microbatches=2, **mix).assignments
+        enc = (
+            DGraph.from_buffer(llm, fields=["image_patches"])
+            .distribute(AXIS_WORLD, TREE, n_microbatches=2)
+            .cost(encoder_cost_fn(VIT))
+            .balance()
+            .plan()
+            .assignments
+        )
+        plan_cols = ["cost", "bucket", "mb"]
+        expect = llm.toPandas().rename(columns={c: f"llm_{c}" for c in plan_cols}).merge(
+            enc.select("sample_id", *plan_cols)
+            .toPandas()
+            .rename(columns={c: f"enc_{c}" for c in plan_cols}),
+            on="sample_id",
+        )
+        got = merged.toPandas()
+        assert len(got) == len(expect) == (120 if mixed else 1000)
+        pd.testing.assert_frame_equal(
+            got.sort_values("sample_id").reset_index(drop=True),
+            expect[got.columns].sort_values("sample_id").reset_index(drop=True),
+        )
+
+    def test_one_planning_pass_no_join(self, buffer_df):
+        merged = vlm_hybrid_balance(buffer_df, TREE, LLAMA, VIT, n_microbatches=2)
+        plan = merged._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("FlatMapGroupsInPandas") == 1
+        assert "Join" not in plan
