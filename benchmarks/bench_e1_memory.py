@@ -5,10 +5,10 @@ import pytest
 from repro.experiments.e1_preprocessing import reduction_factors, run_config
 
 
-def test_e1_preprocessing_arch(benchmark, spark):
+def test_e1_preprocessing_arch(benchmark):
     rows = benchmark.pedantic(
         run_config,
-        kwargs=dict(spark=spark, n_gpus=288, dataset="navit-100", n_iters=100),
+        kwargs=dict(n_gpus=288, dataset="navit-100", n_iters=100),
         rounds=3,
         iterations=1,
     )

@@ -2,9 +2,9 @@
 from repro.experiments.e3_redundancy import run_grid
 
 
-def test_e3_ratio_grid(benchmark, spark):
+def test_e3_ratio_grid(benchmark):
     cells = benchmark.pedantic(
-        run_grid, args=(spark,), kwargs=dict(cps=(1, 2, 4, 8), pps=(1, 2, 4, 8)),
+        run_grid, kwargs=dict(cps=(1, 2, 4, 8), pps=(1, 2, 4, 8)),
         rounds=3, iterations=1,
     )
     by = {(c.cp, c.pp): c.ratio for c in cells}

@@ -1,8 +1,10 @@
-"""Shared spark-submit session bootstrap for the experiment jobs.
+"""The repo's one Spark session configuration, plus the job table printer.
 
-Each job exposes ``main(spark)`` (importable from tests/benchmarks) and
-builds its own local session only when executed as a script:
-``spark-submit jobs/<name>.py`` or plain ``python jobs/<name>.py``.
+Jobs that need Spark expose ``main(spark)`` (importable from tests and
+benchmarks) and build their own local session only when executed as a
+script: ``spark-submit jobs/<name>.py`` or plain ``python jobs/<name>.py``.
+The test suite's ``spark`` fixture (``conftest.py``) builds its session
+with the same :func:`get_session`.
 """
 from __future__ import annotations
 
@@ -12,15 +14,30 @@ from pyspark.sql import SparkSession
 
 
 def get_session(app_name: str) -> SparkSession:
+    """Local-mode session. Master (``SPARK_MASTER``, default ``local[*]``)
+    and driver memory (``SPARK_DRIVER_MEM``, default Spark's) are read at
+    JVM launch, so they go into ``PYSPARK_SUBMIT_ARGS`` unless the caller
+    already set it; shuffle partitions (``SPARK_SHUFFLE_PARTITIONS``,
+    default 64), Arrow and the broadcast threshold are session configs.
+
+    Broadcast joins are disabled so shuffle/join plans actually exercise
+    the shuffle path at small scale; a query that wants a broadcast join
+    sets the threshold back for itself.
+    """
+    memory = os.environ.get("SPARK_DRIVER_MEM")
+    memory = f"--driver-memory {memory} " if memory else ""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} {memory}"
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
     spark = (
         SparkSession.builder.appName(app_name)
-        .config("spark.sql.shuffle.partitions", "64")
+        .config(
+            "spark.sql.shuffle.partitions",
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -1,19 +1,21 @@
 """E1 (Fig. 12): memory per node + data-fetch time, Colocated vs
 OVERLORD-Vanilla vs OVERLORD-auto on 288/576 GPUs, navit-100/navit_data.
 
-Run: spark-submit jobs/e1_preprocessing_arch.py
+Run: python jobs/e1_preprocessing_arch.py
+(The memory model and the feed simulation are numpy/pandas; no Spark
+session is started.)
 """
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_session, print_table  # noqa: E402
+from _session import print_table  # noqa: E402
 
 from repro.experiments.e1_preprocessing import reduction_factors, run_all  # noqa: E402
 
 
-def main(spark, n_iters: int = 100) -> list[dict]:
-    rows = run_all(spark, n_iters=n_iters)
+def main(spark=None, n_iters: int = 100) -> list[dict]:
+    rows = run_all(n_iters=n_iters)
     table = [
         {
             "system": r.system,
@@ -36,4 +38,4 @@ def main(spark, n_iters: int = 100) -> list[dict]:
 
 
 if __name__ == "__main__":
-    main(get_session("e1-preprocessing-arch"))
+    main()

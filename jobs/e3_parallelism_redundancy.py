@@ -2,25 +2,26 @@
 OVERLORD vs Colocated over a CP x PP grid, plus batch-size, worker-count
 and cluster-size ablations.
 
-Run: spark-submit jobs/e3_parallelism_redundancy.py
+Run: python jobs/e3_parallelism_redundancy.py
+(The memory model is numpy/pandas; no Spark session is started.)
 """
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_session, print_table  # noqa: E402
+from _session import print_table  # noqa: E402
 
 from repro.experiments.e3_redundancy import run_ablations, run_grid  # noqa: E402
 
 
-def main(spark) -> list[dict]:
-    cells = run_grid(spark)
+def main(spark=None) -> list[dict]:
+    cells = run_grid()
     table = [
         {"cp": c.cp, "pp": c.pp, "overlord_over_colocated": c.ratio} for c in cells
     ]
     print_table(table, "E3 — memory cost ratio grid (Fig. 14; <1 = OVERLORD cheaper)")
 
-    abl = run_ablations(spark)
+    abl = run_ablations()
     for name, cells in abl.items():
         print_table(
             [
@@ -40,4 +41,4 @@ def main(spark) -> list[dict]:
 
 
 if __name__ == "__main__":
-    main(get_session("e3-parallelism-redundancy"))
+    main()

@@ -21,7 +21,6 @@ import numpy as np
 import pandas as pd
 
 from repro.core.placetree import ClientPlaceTree
-from repro.core.source_loader import WORKER_BASE_GB
 from repro.data.mixture import MixSchedule
 from repro.data.sources import SourceSpec, generate_source_rows
 
@@ -68,11 +67,6 @@ class ColocatedInstance:
                          "image_patches", "sample_bytes"]
             )
         )
-
-    def memory_gb(self, group_batch_bytes: float, prefetch: int = 2) -> float:
-        """Per-worker all-source file states + instance prefetch buffer."""
-        states = sum(s.file_state_gb for s in self.specs)
-        return self.workers * (WORKER_BASE_GB + states) + prefetch * group_batch_bytes / 1e9
 
 
 class ColocatedLoaderSystem:
@@ -129,6 +123,3 @@ class ColocatedLoaderSystem:
             .drop_duplicates(["source_id", "row_idx"])
         ) if total else 0
         return total / distinct if distinct else 1.0
-
-    def total_memory_gb(self, group_batch_bytes: float) -> float:
-        return sum(i.memory_gb(group_batch_bytes) for i in self.instances)

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.source_loader import actor_memory_gb, shard_state_gb
 from repro.data.sources import SourceSpec
 
 
@@ -71,15 +72,6 @@ def cluster_sources(
     return [ordered[i : i + cluster_size] for i in range(0, len(ordered), cluster_size)]
 
 
-def _actor_memory_gb(spec: SourceSpec, workers: int, n_actors: int) -> float:
-    """Per-actor memory under Source Parallelism: worker contexts plus
-    one 1/n shard of the source's file state held at the actor (matches
-    SourceLoader.memory_gb without buffered payload)."""
-    from repro.core.source_loader import WORKER_BASE_GB
-
-    return workers * WORKER_BASE_GB + spec.file_state_gb / n_actors + 0.005
-
-
 def auto_partition(
     specs: Sequence[SourceSpec],
     pool: ResourcePool,
@@ -114,7 +106,8 @@ def auto_partition(
         per_actor = max(1, math.ceil(workers_total / n_actors))
         # stage 3: memory fitting — shard further until the actor fits
         while (
-            _actor_memory_gb(spec, per_actor, n_actors) > pool.per_actor_mem_gb
+            actor_memory_gb(per_actor, shard_state_gb(spec.file_state_gb, n_actors))
+            > pool.per_actor_mem_gb
             and n_actors < max_actors_per_source
         ):
             n_actors += 1

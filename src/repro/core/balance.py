@@ -107,19 +107,13 @@ _METHODS = {
 
 
 def balance_method(name: str):
-    """Resolve a balancing method by its paper name; extension point for
-    user strategies (e.g. Zig-Zag) via :func:`register_method`."""
+    """Resolve a balancing method by its paper name."""
     try:
         return _METHODS[name.lower()]
     except KeyError:
         raise KeyError(
             f"unknown balance method {name!r}; known: {sorted(_METHODS)}"
         ) from None
-
-
-def register_method(name: str, fn) -> None:
-    """Framework extension API: register a custom balancing strategy."""
-    _METHODS[name.lower()] = fn
 
 
 def bin_loads(costs: np.ndarray, assign: np.ndarray, n_bins: int) -> np.ndarray:
@@ -190,12 +184,6 @@ def pack_sequences(lengths: np.ndarray, capacity: int) -> list[PackedSequence]:
         )
         for _, items in bins
     ]
-
-
-def pad_cost(lengths: np.ndarray, capacity: int) -> int:
-    """Dummy tokens added by the Padding transform for one microbatch."""
-    lengths = np.minimum(np.asarray(lengths, dtype=np.int64), capacity)
-    return int((capacity - lengths).sum())
 
 
 # ---------------------------------------------------------------------------

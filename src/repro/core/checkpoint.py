@@ -43,9 +43,6 @@ class CheckpointStore:
     def has(self, key: str) -> bool:
         return key in self._data
 
-    def n_versions(self, key: str) -> int:
-        return len(self._data.get(key, []))
-
 
 @dataclass
 class DifferentialCheckpointer:
@@ -154,9 +151,3 @@ class ShadowLoader:
         )
         self.standby.restore(promoted.checkpoint())
         return promoted
-
-    @property
-    def lag_rows(self) -> int:
-        """Rows the standby trails the active loader by (0 right after a
-        sync — the 'synchronized states' invariant)."""
-        return max(0, self.active.state.cursor - self.standby.state.cursor)

@@ -24,9 +24,6 @@ from repro.core.balance import PackedSequence, pack_sequences
 from repro.core.dgraph import LoadingPlan
 from repro.data.sources import sample_payload_bytes
 
-#: constructor actor base memory (assembly context), GB
-CONSTRUCTOR_BASE_GB = 0.5
-
 
 def zigzag_cp_shards(capacity: int, cp: int) -> list[list[tuple[int, int]]]:
     """Zig-zag context-parallel sharding: split a sequence of ``capacity``
@@ -164,12 +161,3 @@ class DataConstructor:
                     bytes_transferred=full_bytes,
                 )
         return payloads
-
-    # -- accounting -------------------------------------------------------------
-
-    def memory_gb(self, staged: pd.DataFrame, prefetch: int = 2) -> float:
-        """Constructor resident memory: base context + ``prefetch``
-        in-flight copies of this bucket's batch buffer."""
-        mine = staged[staged["bucket"] == self.bucket]
-        batch_bytes = float(_row_bytes(mine).sum()) if len(mine) else 0.0
-        return CONSTRUCTOR_BASE_GB + prefetch * batch_bytes / 1e9

@@ -190,6 +190,7 @@ class Planner:
             "batch_size": self.batch_size,
             "n_microbatches": self.n_microbatches,
             "axis": self.axis,
+            "tracker": self.tracker.checkpoint(),
         }
 
     def restore(self, ckpt: dict) -> None:
@@ -197,3 +198,4 @@ class Planner:
         self.batch_size = int(ckpt["batch_size"])
         self.n_microbatches = int(ckpt["n_microbatches"])
         self.axis = ckpt["axis"]
+        self.tracker.restore(ckpt["tracker"])

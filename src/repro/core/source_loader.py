@@ -32,8 +32,25 @@ from repro.data.sources import SourceSpec, generate_source_rows
 #: resident memory of one worker process context (interpreter + transform
 #: libraries + prefetch slot), GB — Fig. 4's "worker scaling" dimension
 WORKER_BASE_GB = 0.35
-#: bytes of buffered sample metadata+payload accounted per buffered sample
-#: are taken from the sample's own ``sample_bytes`` column
+
+
+def shard_state_gb(file_state_gb: float, n_shards: int) -> float:
+    """File access state of one of ``n_shards`` Source-Parallel shards:
+    ~1/n of the source's row-group/footer state plus a fixed connection
+    floor."""
+    return file_state_gb / n_shards + 0.005
+
+
+def actor_memory_gb(workers: int, state_gb: float) -> float:
+    """Loader actor memory without buffered samples: worker contexts plus
+    file access state held once per actor.
+
+    Unlike a colocated PyTorch loader — whose ``num_workers`` *reader*
+    processes each open every source — an OVERLORD Source Loader actor
+    holds its (sharded) file access state exactly once; its workers only
+    transform staged samples (§5.1 Worker Parallel staggers
+    transformation, not reading)."""
+    return workers * WORKER_BASE_GB + state_gb
 
 
 @dataclass
@@ -184,22 +201,14 @@ class SourceLoader:
 
     def memory_gb(self) -> float:
         """Resident memory: worker contexts + this shard's file access
-        state + buffered sample bytes.
-
-        Unlike a colocated PyTorch loader — whose ``num_workers``
-        *reader* processes each open every source — an OVERLORD Source
-        Loader actor holds its (sharded) file access state exactly once;
-        its workers only transform staged samples (§5.1 Worker Parallel
-        staggers transformation, not reading). A shard holds ~1/n of the
-        source's row-group/footer state plus a fixed connection floor.
-        """
-        file_state = self.spec.file_state_gb / self.n_shards + 0.005
+        state + buffered sample bytes."""
+        file_state = shard_state_gb(self.spec.file_state_gb, self.n_shards)
         buffered = (
             float(self._buffer["sample_bytes"].sum()) / 1e9
             if not self._buffer.empty
             else 0.0
         )
-        return self.workers * WORKER_BASE_GB + file_state + buffered
+        return actor_memory_gb(self.workers, file_state) + buffered
 
     # -- fault tolerance -----------------------------------------------------
 

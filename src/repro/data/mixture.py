@@ -184,3 +184,14 @@ class MovingAverageTracker:
 
     def consecutive_below(self) -> np.ndarray:
         return self._below.copy()
+
+    def checkpoint(self) -> dict:
+        """Window history (``<= window x n_sources`` weights) and the
+        above/below counters — everything future triggers depend on."""
+        hist = np.stack(self._hist) if self._hist else np.empty((0, self.n_sources))
+        return {"hist": hist, "above": self._above.copy(), "below": self._below.copy()}
+
+    def restore(self, state: dict) -> None:
+        self._hist = list(np.array(state["hist"], dtype=np.float64))
+        self._above = np.array(state["above"], dtype=np.int64)
+        self._below = np.array(state["below"], dtype=np.int64)

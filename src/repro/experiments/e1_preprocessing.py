@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.core.autoscaler import ResourcePool, auto_partition, total_cpu_demand
 from repro.data.sources import SourceSpec, navit_100, navit_lite, sample_payload_bytes
@@ -64,7 +63,6 @@ def _avg_sample_bytes(specs: list[SourceSpec]) -> float:
 
 
 def run_config(
-    spark: SparkSession,
     *,
     n_gpus: int,
     dataset: str,
@@ -116,7 +114,6 @@ def run_config(
     # fetch fluctuations.
     colo_mem = avg_mem_per_node(
         colocated_memory(
-            spark,
             specs,
             cluster,
             workers=colo_workers,
@@ -135,7 +132,6 @@ def run_config(
     # continuously feed the data".
     van_mem = avg_mem_per_node(
         overlord_memory(
-            spark,
             specs,
             cluster,
             batch_bytes_per_group=batch_bytes,
@@ -151,7 +147,6 @@ def run_config(
     # OVERLORD-auto: per-source autoscaled actors.
     auto_mem = avg_mem_per_node(
         overlord_memory(
-            spark,
             specs,
             cluster,
             batch_bytes_per_group=batch_bytes,
@@ -166,11 +161,11 @@ def run_config(
     return rows
 
 
-def run_all(spark: SparkSession, **kwargs) -> list[E1Row]:
+def run_all(**kwargs) -> list[E1Row]:
     rows = []
     for n_gpus in (288, 576):
         for dataset in ("navit-100", "navit_data"):
-            rows.extend(run_config(spark, n_gpus=n_gpus, dataset=dataset, **kwargs))
+            rows.extend(run_config(n_gpus=n_gpus, dataset=dataset, **kwargs))
     return rows
 
 

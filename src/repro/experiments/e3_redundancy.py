@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import SparkSession
-
 from repro.data.sources import navit_100
 from repro.sim.memsim import ClusterConfig, memory_ratio
 
@@ -43,7 +41,6 @@ class E3Cell:
 
 
 def run_cell(
-    spark: SparkSession,
     *,
     cp: int,
     pp: int,
@@ -54,7 +51,6 @@ def run_cell(
     cluster = ClusterConfig(n_nodes=n_nodes, tp=TP, pp=pp, cp=cp)
     batch_bytes = group_batch * SAMPLE_BYTES
     ratio = memory_ratio(
-        spark,
         navit_100(),
         cluster,
         workers=workers,
@@ -64,25 +60,24 @@ def run_cell(
 
 
 def run_grid(
-    spark: SparkSession,
     *,
     cps: tuple[int, ...] = (1, 2, 4, 8),
     pps: tuple[int, ...] = (1, 2, 4, 8),
     **kwargs,
 ) -> list[E3Cell]:
     """The Fig. 14 CP x PP ratio grid."""
-    return [run_cell(spark, cp=cp, pp=pp, **kwargs) for cp in cps for pp in pps]
+    return [run_cell(cp=cp, pp=pp, **kwargs) for cp in cps for pp in pps]
 
 
-def run_ablations(spark: SparkSession) -> dict[str, list[E3Cell]]:
+def run_ablations() -> dict[str, list[E3Cell]]:
     """Fig. 17's three ablations at representative parallelism corners."""
     corners = [(1, 1), (2, 2), (4, 4)]
     out: dict[str, list[E3Cell]] = {"batch": [], "workers": [], "cluster": []}
     for cp, pp in corners:
         for bs in (512, 2048):
-            out["batch"].append(run_cell(spark, cp=cp, pp=pp, group_batch=bs))
+            out["batch"].append(run_cell(cp=cp, pp=pp, group_batch=bs))
         for w in (4, 16):
-            out["workers"].append(run_cell(spark, cp=cp, pp=pp, workers=w))
+            out["workers"].append(run_cell(cp=cp, pp=pp, workers=w))
         for n in (512, 4096):
-            out["cluster"].append(run_cell(spark, cp=cp, pp=pp, n_nodes=n))
+            out["cluster"].append(run_cell(cp=cp, pp=pp, n_nodes=n))
     return out

@@ -1,4 +1,4 @@
-"""Memory cost model: colocated vs OVERLORD deployments (E1/E3/E4).
+"""Memory cost model: colocated vs OVERLORD deployments (E1/E3).
 
 The paper's memory claims rest on *where file access states and batch
 buffers are replicated*:
@@ -15,30 +15,32 @@ buffers are replicated*:
   actor's file states (the actor holds all sources once), plus one Data
   Constructor per DP group and a Planner.
 - **OVERLORD-auto**: per-source loader actors from the AutoScaler
-  (§5.1); each actor holds only its own source's state. Source
-  Parallelism (``sp``) in E4 instead partitions the *source set* across
-  ``sp`` loader groups so each worker holds ``S/sp`` source states.
+  (§5.1); each actor holds only its own source's state, sharded across
+  the source's actors.
 
-The (node × client × worker × source) expansion is materialised as
-Spark DataFrames and aggregated; tests diff the aggregation against
-DuckDB SQL over the same base tables via the oracle.
+The model is closed-form accounting over at most a few thousand actors,
+so it is plain numpy/pandas: one row per loader instance or actor,
+summed per node. The per-actor and per-shard terms are the ones the
+real :class:`~repro.core.source_loader.SourceLoader` and the
+AutoScaler's memory fitting use; tests diff the per-node sums against
+DuckDB SQL over the same rows via the oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.autoscaler import LoaderConfig
-from repro.core.constructor import CONSTRUCTOR_BASE_GB
-from repro.core.source_loader import WORKER_BASE_GB
+from repro.core.source_loader import WORKER_BASE_GB, actor_memory_gb, shard_state_gb
 from repro.data.sources import SourceSpec
 
 #: actor-process overhead (Ray actor + Python runtime), GB
 ACTOR_BASE_GB = 0.6
+#: Data Constructor actor base memory (assembly context), GB
+CONSTRUCTOR_BASE_GB = 0.5
 #: planner actor resident memory, GB
 PLANNER_GB = 2.0
 #: prefetch depth (in-flight batch copies) for loader/constructor buffers
@@ -73,77 +75,53 @@ class ClusterConfig:
         return self.dp * self.cp * self.pp
 
 
-def _sources_df(spark: SparkSession, specs: Sequence[SourceSpec]) -> DataFrame:
-    pdf = pd.DataFrame(
-        {
-            "source_id": [s.source_id for s in specs],
-            "file_state_gb": [s.file_state_gb for s in specs],
-        }
-    )
-    return spark.createDataFrame(pdf)
+def colocated_instance_gb(workers: int, states_gb: float, batch_bytes: float) -> float:
+    """One colocated loader instance: every worker process holds all
+    ``states_gb`` of file state, and the instance prefetches ``PREFETCH``
+    copies of its ``batch_bytes`` group batch."""
+    return workers * (WORKER_BASE_GB + states_gb) + PREFETCH * batch_bytes / 1e9
 
 
-def _loader_ranks_df(spark: SparkSession, cluster: ClusterConfig) -> DataFrame:
+def _loader_ranks(cluster: ClusterConfig) -> pd.DataFrame:
     """One row per colocated loader instance, with its hosting node."""
     n = cluster.n_loader_ranks
     stride = cluster.world / n  # loader ranks spread uniformly over GPUs
-    return spark.range(n).select(
-        F.col("id").alias("loader_rank"),
-        (
-            (F.col("id") * F.lit(float(stride))).cast("long")
-            / F.lit(cluster.gpus_per_node)
-        )
-        .cast("int")
-        .alias("node"),
-    )
+    rank = np.arange(n, dtype=np.int64)
+    gpu = (rank * stride).astype(np.int64)
+    return pd.DataFrame({"loader_rank": rank, "node": gpu // cluster.gpus_per_node})
 
 
 def colocated_memory(
-    spark: SparkSession,
     specs: Sequence[SourceSpec],
     cluster: ClusterConfig,
     *,
     workers: int,
     batch_bytes_per_group: float,
-    prefetch: int = PREFETCH,
-) -> DataFrame:
-    """Per-node memory (GB) of the colocated baseline.
-
-    node → mem_gb = sum over hosted loader instances of
-    ``workers * (WORKER_BASE + sum_s m_d(s)) + prefetch * group_batch``.
-    """
-    ranks = _loader_ranks_df(spark, cluster)
-    per_worker_states = _sources_df(spark, specs).agg(
-        F.sum("file_state_gb").alias("states_gb")
+) -> pd.DataFrame:
+    """Per-node memory (GB) of the colocated baseline: columns
+    ``node, mem_gb``, one row per node hosting a loader instance."""
+    states = sum(s.file_state_gb for s in specs)
+    ranks = _loader_ranks(cluster).assign(
+        mem_gb=colocated_instance_gb(workers, states, batch_bytes_per_group)
     )
-    per_instance = ranks.crossJoin(per_worker_states).select(
-        "node",
-        (
-            F.lit(float(workers)) * (F.lit(WORKER_BASE_GB) + F.col("states_gb"))
-            + F.lit(prefetch * batch_bytes_per_group / 1e9)
-        ).alias("mem_gb"),
-    )
-    return per_instance.groupBy("node").agg(F.sum("mem_gb").alias("mem_gb"))
+    return ranks.groupby("node", as_index=False)["mem_gb"].sum()
 
 
 def overlord_memory(
-    spark: SparkSession,
     specs: Sequence[SourceSpec],
     cluster: ClusterConfig,
     *,
     batch_bytes_per_group: float,
     configs: Sequence[LoaderConfig] | None = None,
     vanilla_workers: int = 4,
-    sp: int = 1,
-    prefetch: int = PREFETCH,
     worker_process_states: bool = False,
-) -> DataFrame:
-    """Per-node, per-component memory (GB) of an OVERLORD deployment.
+) -> pd.DataFrame:
+    """Per-node, per-component memory (GB) of an OVERLORD deployment:
+    columns ``node, component, mem_gb``.
 
     ``configs=None`` → Vanilla (one all-source actor per DP group with
-    ``vanilla_workers`` workers, the source set optionally partitioned
-    across ``sp`` groups); otherwise the AutoScaler's per-source actor
-    configs. Components: 'loader', 'constructor', 'planner'.
+    ``vanilla_workers`` workers); otherwise the AutoScaler's per-source
+    actor configs. Components: 'loader', 'constructor', 'planner'.
     Actors round-robin over nodes (sidecar deployment, §6.2).
 
     ``worker_process_states=False`` (real OVERLORD) holds file states
@@ -152,89 +130,72 @@ def overlord_memory(
     dry-run ablation uses this parity mode so the ratio isolates
     *parallelism* redundancy alone.
     """
-    n_nodes = cluster.n_nodes
-    rows: list[tuple[int, str, float]] = []
 
-    def actor_mem(workers: int, states: float) -> float:
+    def actor_gb(workers: int, states_gb: float) -> float:
         if worker_process_states:
-            return ACTOR_BASE_GB + workers * (WORKER_BASE_GB + states)
-        return ACTOR_BASE_GB + workers * WORKER_BASE_GB + states
+            return ACTOR_BASE_GB + colocated_instance_gb(workers, states_gb, 0.0)
+        return ACTOR_BASE_GB + actor_memory_gb(workers, states_gb)
 
     if configs is None:
-        # Vanilla: dp actors; actor i of a DP group serves the sources
-        # with source_id % sp == (i % sp) when source-parallel is on.
-        total_states = sum(s.file_state_gb for s in specs)
-        for i in range(cluster.dp):
-            share = (
-                sum(s.file_state_gb for s in specs if s.source_id % sp == i % sp)
-                if sp > 1
-                else total_states
-            )
-            rows.append((i % n_nodes, "loader", actor_mem(vanilla_workers, share)))
+        states = sum(s.file_state_gb for s in specs)
+        loaders = [actor_gb(vanilla_workers, states)] * cluster.dp
     else:
-        by_id = {s.source_id: s for s in specs}
-        slot = 0
-        for cfg in configs:
-            spec = by_id[cfg.source_id]
-            for a in range(cfg.n_actors):
-                share = spec.file_state_gb / cfg.n_actors + 0.005
-                rows.append(
-                    (slot % n_nodes, "loader", actor_mem(cfg.workers_per_actor, share))
-                )
-                slot += 1
+        state_of = {s.source_id: s.file_state_gb for s in specs}
+        loaders = [
+            actor_gb(
+                cfg.workers_per_actor,
+                shard_state_gb(state_of[cfg.source_id], cfg.n_actors),
+            )
+            for cfg in configs
+            for _ in range(cfg.n_actors)
+        ]
 
-    # one constructor per DP group: base + prefetch in-flight batch copies
+    # one constructor per DP group: base + PREFETCH in-flight batch copies
     # + one staging copy for cross-node communication
-    c_mem = CONSTRUCTOR_BASE_GB + (prefetch + 1) * batch_bytes_per_group / 1e9
-    for b in range(cluster.dp):
-        rows.append((b % n_nodes, "constructor", c_mem))
-    rows.append((0, "planner", PLANNER_GB))
+    constructor = CONSTRUCTOR_BASE_GB + (PREFETCH + 1) * batch_bytes_per_group / 1e9
 
-    pdf = pd.DataFrame(rows, columns=["node", "component", "mem_gb"])
-    return (
-        spark.createDataFrame(pdf)
-        .groupBy("node", "component")
-        .agg(F.sum("mem_gb").alias("mem_gb"))
+    def placed(component: str, mem_gb: Sequence[float]) -> pd.DataFrame:
+        node = np.arange(len(mem_gb)) % cluster.n_nodes
+        return pd.DataFrame({"node": node, "component": component, "mem_gb": mem_gb})
+
+    actors = pd.concat(
+        [
+            placed("loader", loaders),
+            placed("constructor", [constructor] * cluster.dp),
+            placed("planner", [PLANNER_GB]),
+        ],
+        ignore_index=True,
     )
+    return actors.groupby(["node", "component"], as_index=False)["mem_gb"].sum()
 
 
-def avg_mem_per_node(df: DataFrame, n_nodes: int) -> float:
+def avg_mem_per_node(df: pd.DataFrame, n_nodes: int) -> float:
     """Cluster-wide average memory per node (empty nodes count)."""
-    total = df.agg(F.sum("mem_gb").alias("t")).collect()[0]["t"]
-    return float(total or 0.0) / n_nodes
+    return float(df["mem_gb"].sum()) / n_nodes
 
 
 def memory_ratio(
-    spark: SparkSession,
     specs: Sequence[SourceSpec],
     cluster: ClusterConfig,
     *,
     workers: int,
     batch_bytes_per_group: float,
-    configs: Sequence[LoaderConfig] | None = None,
-    vanilla_workers: int | None = None,
-    worker_process_states: bool = True,
 ) -> float:
-    """Fig. 14's metric: OVERLORD total memory / Colocated total memory
-    (< 1 means OVERLORD saves memory). Defaults to the dry-run parity
-    mode (identical per-loader job memory on both sides) so the ratio
-    isolates parallelism redundancy, as in the paper's ablation."""
+    """Fig. 14's metric: OVERLORD-Vanilla total memory / Colocated total
+    memory (< 1 means OVERLORD saves memory), in the dry-run parity mode
+    (identical per-loader job memory on both sides, ``workers`` each) so
+    the ratio isolates parallelism redundancy, as in the paper's
+    ablation."""
     colo = colocated_memory(
-        spark,
-        specs,
-        cluster,
-        workers=workers,
-        batch_bytes_per_group=batch_bytes_per_group,
+        specs, cluster, workers=workers, batch_bytes_per_group=batch_bytes_per_group
     )
     over = overlord_memory(
-        spark,
         specs,
         cluster,
         batch_bytes_per_group=batch_bytes_per_group,
-        configs=configs,
-        vanilla_workers=vanilla_workers if vanilla_workers is not None else workers,
-        worker_process_states=worker_process_states,
+        vanilla_workers=workers,
+        worker_process_states=True,
     )
-    c = avg_mem_per_node(colo, cluster.n_nodes)
-    o = avg_mem_per_node(over, cluster.n_nodes)
-    return o / c
+    return avg_mem_per_node(over, cluster.n_nodes) / avg_mem_per_node(
+        colo, cluster.n_nodes
+    )

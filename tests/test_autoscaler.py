@@ -12,6 +12,7 @@ from repro.core.autoscaler import (
     cluster_sources,
     total_cpu_demand,
 )
+from repro.core.source_loader import SourceLoader
 from repro.data.sources import coyo_lite, navit_lite
 
 
@@ -77,6 +78,25 @@ class TestAutoPartition:
         a_tight = auto_partition(specs, tight)
         a_loose = auto_partition(specs, loose)
         assert sum(c.n_actors for c in a_tight) >= sum(c.n_actors for c in a_loose)
+
+    def test_empty_loader_memory_is_the_fitted_memory(self):
+        """An empty Source Loader shard occupies exactly the actor memory
+        the AutoScaler fits against the per-actor budget."""
+        spec = max(navit_lite(n_sources=40), key=lambda s: s.file_state_gb)
+
+        def fitted(budget_gb):
+            return auto_partition([spec], ResourcePool(64, budget_gb))[0]
+
+        cfg = fitted(spec.file_state_gb)
+        assert cfg.n_actors >= 2  # the budget forces Source Parallelism
+        mem = SourceLoader(
+            spec,
+            shard=cfg.n_actors - 1,
+            n_shards=cfg.n_actors,
+            workers=cfg.workers_per_actor,
+        ).memory_gb()
+        assert fitted(mem) == cfg  # fits exactly at its own memory
+        assert fitted(np.nextafter(mem, 0)).n_actors > cfg.n_actors
 
     def test_cpu_demand_reasonable(self):
         specs = navit_lite(n_sources=30)

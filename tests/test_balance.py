@@ -114,21 +114,6 @@ class TestMethodRegistry:
         with pytest.raises(KeyError):
             B.balance_method("zigzag-nope")
 
-    def test_register_custom(self):
-        def zigzag(costs, n_bins):
-            idx = np.argsort(-costs)
-            out = np.empty(len(costs), dtype=np.int64)
-            period = np.r_[np.arange(n_bins), np.arange(n_bins)[::-1]]
-            for pos, i in enumerate(idx):
-                out[i] = period[pos % len(period)]
-            return out
-
-        B.register_method("zigzag", zigzag)
-        assert B.balance_method("zigzag") is zigzag
-        costs = np.random.default_rng(5).random(50)
-        a = B.balance_method("zigzag")(costs, 4)
-        assert a.max() < 4
-
 
 class TestPacking:
     def test_single_fits(self):
@@ -169,9 +154,6 @@ class TestPacking:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             B.pack_sequences(np.array([1]), 0)
-
-    def test_pad_cost(self):
-        assert B.pad_cost(np.array([3, 5]), 8) == 8  # (8-3)+(8-5)
 
 
 class TestTwoLevel:

@@ -45,8 +45,8 @@ class TestDifferential:
         for step in range(8):
             ld.fill(2)
             dc.on_step(step, {"step": step}, [ld])
-        assert st.n_versions("planner") == 8
-        assert st.n_versions(f"loader/{spec.name}/0") == 2  # steps 0 and 4
+        assert st.latest("planner")[0] == 8
+        assert st.latest(f"loader/{spec.name}/0")[0] == 2  # steps 0 and 4
 
     def test_recover_replays_gap(self, spec):
         st = CheckpointStore()
@@ -75,14 +75,13 @@ class TestShadow:
         sh = ShadowLoader(active)
         active.fill(7)
         sh.sync()
-        assert sh.lag_rows == 0
-        assert sh.standby.state.cursor == 7
+        assert sh.standby.state.cursor == active.state.cursor == 7
 
     def test_lag_before_sync(self, spec):
         active = SourceLoader(spec)
         sh = ShadowLoader(active)
         active.fill(5)
-        assert sh.lag_rows == 5
+        assert (sh.standby.state.cursor, active.state.cursor) == (0, 5)
 
     def test_promote_continues_stream(self, spec):
         active = SourceLoader(spec, seed=1)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.baselines.colocated import ColocatedLoaderSystem
 from repro.core.placetree import ClientPlaceTree
+from repro.core.source_loader import WORKER_BASE_GB
 from repro.data.mixture import ConstantSchedule
 from repro.data.sources import coyo_lite
+from repro.sim.memsim import ClusterConfig, avg_mem_per_node, colocated_memory
 
 
 @pytest.fixture
@@ -80,24 +82,38 @@ class TestLoading:
 
 
 class TestMemory:
+    """The memory model (``memsim``) counts exactly the loader instances
+    this functional baseline builds."""
+
+    @staticmethod
+    def _total_gb(specs, sys, batch_bytes):
+        cluster = ClusterConfig(
+            n_nodes=1,
+            gpus_per_node=len(sys.tree.clients),
+            pp=sys.tree.dims.get("PP", 1),
+            cp=sys.tree.dims.get("CP", 1),
+            tp=sys.tree.dims.get("TP", 1),
+        )
+        assert cluster.n_loader_ranks == sys.n_instances
+        mem = colocated_memory(
+            specs, cluster, workers=sys.workers, batch_bytes_per_group=batch_bytes
+        )
+        return avg_mem_per_node(mem, 1)
+
     def test_memory_scales_with_instances(self, specs):
-        small = make_system(specs, dp=2)
-        big = make_system(specs, dp=2, cp=2)
-        b = 1e6
-        assert big.total_memory_gb(b) == pytest.approx(2 * small.total_memory_gb(b))
+        small = self._total_gb(specs, make_system(specs, dp=2), 1e6)
+        big = self._total_gb(specs, make_system(specs, dp=2, cp=2), 1e6)
+        assert big == pytest.approx(2 * small)
 
     def test_memory_scales_with_workers(self, specs):
-        w1 = make_system(specs, dp=1, workers=1)
-        w4 = make_system(specs, dp=1, workers=4)
-        assert w4.total_memory_gb(0) == pytest.approx(4 * w1.total_memory_gb(0))
+        w1 = self._total_gb(specs, make_system(specs, dp=1, workers=1), 0)
+        w4 = self._total_gb(specs, make_system(specs, dp=1, workers=4), 0)
+        assert w4 == pytest.approx(4 * w1)
 
     def test_per_worker_source_states(self, specs):
         # per-worker replication of *all* source states (the §2.3 pathology)
         sys = make_system(specs, dp=1, workers=2)
         states = sum(s.file_state_gb for s in specs)
-        inst = sys.instances[0]
-        from repro.core.source_loader import WORKER_BASE_GB
-
-        assert inst.memory_gb(0.0, prefetch=0) == pytest.approx(
+        assert self._total_gb(specs, sys, 0) == pytest.approx(
             2 * (WORKER_BASE_GB + states)
         )

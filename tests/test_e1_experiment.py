@@ -5,13 +5,13 @@ from repro.experiments.e1_preprocessing import reduction_factors, run_config
 
 
 @pytest.fixture(scope="module")
-def rows288(spark):
-    return run_config(spark, n_gpus=288, dataset="navit-100", n_iters=30)
+def rows288():
+    return run_config(n_gpus=288, dataset="navit-100", n_iters=30)
 
 
 @pytest.fixture(scope="module")
-def rows576(spark):
-    return run_config(spark, n_gpus=576, dataset="navit-100", n_iters=30)
+def rows576():
+    return run_config(n_gpus=576, dataset="navit-100", n_iters=30)
 
 
 def _by_system(rows):
@@ -64,10 +64,10 @@ class TestFeeding:
 
 
 class TestValidation:
-    def test_unknown_gpu_count(self, spark):
+    def test_unknown_gpu_count(self):
         with pytest.raises(ValueError):
-            run_config(spark, n_gpus=128, dataset="navit-100")
+            run_config(n_gpus=128, dataset="navit-100")
 
-    def test_unknown_dataset(self, spark):
+    def test_unknown_dataset(self):
         with pytest.raises(ValueError):
-            run_config(spark, n_gpus=288, dataset="imagenet")
+            run_config(n_gpus=288, dataset="imagenet")

@@ -7,51 +7,51 @@ from repro.data.sources import navit_100, navit_lite
 
 
 class TestE3Grid:
-    def test_marginal_overhead_at_low_parallelism(self, spark):
-        c = run_cell(spark, cp=1, pp=1)
+    def test_marginal_overhead_at_low_parallelism(self):
+        c = run_cell(cp=1, pp=1)
         assert 0.9 < c.ratio < 1.4  # constructor buffering overhead
 
-    def test_savings_grow_with_cp_pp(self, spark):
-        r11 = run_cell(spark, cp=1, pp=1).ratio
-        r22 = run_cell(spark, cp=2, pp=2).ratio
-        r44 = run_cell(spark, cp=4, pp=4).ratio
+    def test_savings_grow_with_cp_pp(self):
+        r11 = run_cell(cp=1, pp=1).ratio
+        r22 = run_cell(cp=2, pp=2).ratio
+        r44 = run_cell(cp=4, pp=4).ratio
         assert r44 < r22 < r11
         assert r44 < 0.15
 
-    def test_cp_and_pp_symmetric_effect(self, spark):
-        r_cp = run_cell(spark, cp=4, pp=1).ratio
-        r_pp = run_cell(spark, cp=1, pp=4).ratio
+    def test_cp_and_pp_symmetric_effect(self):
+        r_cp = run_cell(cp=4, pp=1).ratio
+        r_pp = run_cell(cp=1, pp=4).ratio
         assert r_cp == pytest.approx(r_pp, rel=0.05)
 
-    def test_grid_covers_all_cells(self, spark):
-        cells = run_grid(spark, cps=(1, 2), pps=(1, 2))
+    def test_grid_covers_all_cells(self):
+        cells = run_grid(cps=(1, 2), pps=(1, 2))
         assert len(cells) == 4
 
 
 class TestE3Ablations:
-    def test_bigger_batch_raises_ratio(self, spark):
+    def test_bigger_batch_raises_ratio(self):
         # Fig. 17b: constructor buffers scale with data size
-        small = run_cell(spark, cp=2, pp=2, group_batch=512).ratio
-        big = run_cell(spark, cp=2, pp=2, group_batch=2048).ratio
+        small = run_cell(cp=2, pp=2, group_batch=512).ratio
+        big = run_cell(cp=2, pp=2, group_batch=2048).ratio
         assert big > small
 
-    def test_more_workers_lower_ratio(self, spark):
+    def test_more_workers_lower_ratio(self):
         # Fig. 17a: worker replication grows on the colocated side
-        w4 = run_cell(spark, cp=2, pp=2, workers=4).ratio
-        w16 = run_cell(spark, cp=2, pp=2, workers=16).ratio
+        w4 = run_cell(cp=2, pp=2, workers=4).ratio
+        w16 = run_cell(cp=2, pp=2, workers=16).ratio
         assert w16 < w4
 
-    def test_larger_cluster_no_help_at_low_parallelism(self, spark):
+    def test_larger_cluster_no_help_at_low_parallelism(self):
         # Fig. 17c: more nodes at CP=PP=1 → bigger effective DP → more
         # constructors alongside the redundancy-free baseline; under
         # weak scaling the ratio stays ~flat (it does not improve)
-        small = run_cell(spark, cp=1, pp=1, n_nodes=512).ratio
-        big = run_cell(spark, cp=1, pp=1, n_nodes=4096).ratio
+        small = run_cell(cp=1, pp=1, n_nodes=512).ratio
+        big = run_cell(cp=1, pp=1, n_nodes=4096).ratio
         assert big >= small - 0.02
         assert big > 0.95
 
-    def test_larger_cluster_fine_at_high_parallelism(self, spark):
-        big = run_cell(spark, cp=4, pp=4, n_nodes=4096).ratio
+    def test_larger_cluster_fine_at_high_parallelism(self):
+        big = run_cell(cp=4, pp=4, n_nodes=4096).ratio
         assert big < 0.2
 
 

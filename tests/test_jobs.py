@@ -1,4 +1,4 @@
-"""Smoke tests: every spark-submit job entrypoint runs and emits rows."""
+"""Smoke tests: every job entrypoint runs and emits rows."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -19,8 +19,8 @@ def _load(name: str):
         sys.path.remove(str(JOBS))
 
 
-def test_e1_job(spark, capsys):
-    rows = _load("e1_preprocessing_arch").main(spark, n_iters=20)
+def test_e1_job(capsys):
+    rows = _load("e1_preprocessing_arch").main(n_iters=20)
     assert len(rows) == 12  # 3 systems x 2 gpu counts x 2 datasets
     assert "E1" in capsys.readouterr().out
 
@@ -32,8 +32,8 @@ def test_e2_job_quick(spark, capsys):
     assert "speedup" in out
 
 
-def test_e3_job(spark, capsys):
-    rows = _load("e3_parallelism_redundancy").main(spark)
+def test_e3_job(capsys):
+    rows = _load("e3_parallelism_redundancy").main()
     assert len(rows) == 16  # 4x4 grid
     assert "Fig. 14" in capsys.readouterr().out
 

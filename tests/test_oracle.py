@@ -33,6 +33,14 @@ class TestAccepts:
             t=pdf,
         )
 
+    def test_pandas_result(self):
+        pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
+        assert_equivalent(
+            pdf.groupby("k", as_index=False)["v"].sum(),
+            "SELECT k, sum(v) AS v FROM t GROUP BY k",
+            t=pdf,
+        )
+
 
 class TestRejects:
     def test_wrong_values(self, kv):
@@ -44,6 +52,15 @@ class TestRejects:
         partial = kv.filter("k < 3").groupBy("k").count()
         with pytest.raises(AssertionError):
             assert_equivalent(partial, "SELECT k, count(*) AS count FROM t GROUP BY k", t=kv)
+
+    def test_wrong_pandas_result(self):
+        pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                pdf.groupby("k", as_index=False)["v"].max(),
+                "SELECT k, sum(v) AS v FROM t GROUP BY k",
+                t=pdf,
+            )
 
     def test_column_name_mismatch(self, kv):
         agg = kv.groupBy("k").sum("v")  # spark names it sum(v)

@@ -14,7 +14,7 @@ from repro.core.dgraph import DGraph, with_sample_id
 from repro.core.placetree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
-from repro.data.mixture import ConstantSchedule
+from repro.data.mixture import ConstantSchedule, StagedSchedule
 from repro.data.sources import coyo_lite, generate_samples, write_parquet_sources
 from repro.oracle import assert_equivalent
 from repro.sim.models import BACKBONES
@@ -160,6 +160,40 @@ class TestPlannerWorkflow:
         pl2.restore(ck)
         assert pl2.step == 1
 
+    def test_restore_keeps_scale_triggers(self):
+        """A Planner restored mid-run fires the same autoscale triggers as
+        one that never stopped: the moving-average window is in the
+        checkpoint."""
+        sched = StagedSchedule([
+            (0, [0.9, 0.025, 0.025, 0.025, 0.025]),
+            (6, [0.025, 0.9, 0.025, 0.025, 0.025]),  # source 1 takes over
+        ])
+
+        def planner():
+            return Planner(
+                self._loaders(), ClientPlaceTree.from_degrees(dp=2), sched,
+                batch_size=40, ma_window=4, hi_threshold=0.5, lo_threshold=0.03,
+            )
+
+        def run(pl, n_steps):
+            out = []
+            for _ in range(n_steps):
+                pl.ensure_buffered(60)
+                pl.plan_step()
+                out.append(pl.scale_triggers(patience=3))
+            return out
+
+        ref = run(planner(), 12)
+        # triggers change after the stage switch at step 6
+        assert ref[5] != ref[-1] and ref[-1].get(1) == 1
+        live = planner()
+        run(live, 5)
+        ck = live.checkpoint()
+        run(live, 2)  # the checkpoint must not follow the live planner
+        restored = planner()
+        restored.restore(ck)
+        assert run(restored, 7) == ref[5:]
+
     def test_plan_freed_once_dropped(self):
         """The Planner keeps no reference to the plans it returns."""
         pl = make_planner(self._loaders())
@@ -247,12 +281,6 @@ class TestConstructor:
         assert all(
             plan.tree.clients[r].coords["TP"] == 0 for r in payloads
         )
-
-    def test_memory_scales_with_batch(self, spark):
-        plan = self._loading_plan(spark)
-        dc = DataConstructor(0, plan, CTX)
-        staged = plan.to_pandas()
-        assert dc.memory_gb(staged) > dc.memory_gb(staged.iloc[0:0])
 
     def test_zigzag_shards(self):
         shards = zigzag_cp_shards(8, 2)
