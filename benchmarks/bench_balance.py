@@ -26,6 +26,23 @@ def test_karmarkar_karp_10k(benchmark, heavy_costs):
     assert len(assign) == 10_000
 
 
+@pytest.mark.parametrize(
+    "n_items, n_bins",
+    [(16_384, 128), (41_472, 32)],  # 41,472 = one step on the 576-GPU mesh
+)
+def test_karmarkar_karp_large(benchmark, n_items, n_bins):
+    costs = np.random.default_rng(2).pareto(1.2, n_items) + 1
+    assign = benchmark.pedantic(karmarkar_karp, args=(costs, n_bins), rounds=3)
+    assert len(assign) == n_items
+
+
+def test_two_level_balance_coyo_step(benchmark):
+    # perfbench coyo_stream's step: 2304 samples, 32 DP buckets, 4 microbatches
+    costs = np.random.default_rng(3).pareto(1.2, 2304) + 1
+    bucket, bins = benchmark(balance_two_level, costs, 32, 4)
+    assert bucket.max() < 32 and bins.max() < 4
+
+
 def test_two_level_balance_step(benchmark, heavy_costs):
     bucket, bins = benchmark(
         balance_two_level, heavy_costs[:4096], 18, 4, method="karmarkar_karp"

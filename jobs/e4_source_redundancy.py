@@ -1,15 +1,15 @@
 """E4 (Fig. 15): host-memory occupation vs worker count and the effect
 of source partitioning (SP=2), navit-100 vs navit_data.
 
-Run: spark-submit jobs/e4_source_redundancy.py
-(The measurement instantiates Source Loader actors directly; Spark is
-only needed when loaders read Parquet, so this job runs driver-side.)
+Run: python jobs/e4_source_redundancy.py
+(The measurement instantiates synthetic Source Loader actors directly;
+no Spark session is started.)
 """
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_session, print_table  # noqa: E402
+from _session import print_table  # noqa: E402
 
 from repro.experiments.e4_source import run_grid  # noqa: E402
 
@@ -31,4 +31,4 @@ def main(spark=None) -> list[dict]:
 
 
 if __name__ == "__main__":
-    main(get_session("e4-source-redundancy"))
+    main()

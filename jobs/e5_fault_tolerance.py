@@ -2,13 +2,15 @@
 under prefetch buffers of 2/4, loader failures with shadow vs replay,
 plus a functional shadow-recovery check over real loaders.
 
-Run: spark-submit jobs/e5_fault_tolerance.py
+Run: python jobs/e5_fault_tolerance.py
+(The fault simulation and the synthetic loaders are numpy/pandas; no
+Spark session is started.)
 """
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_session, print_table  # noqa: E402
+from _session import print_table  # noqa: E402
 
 from repro.experiments.e5_fault import (  # noqa: E402
     functional_shadow_recovery,
@@ -42,4 +44,4 @@ def main(spark=None) -> list[dict]:
 
 
 if __name__ == "__main__":
-    main(get_session("e5-fault-tolerance"))
+    main()

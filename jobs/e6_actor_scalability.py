@@ -1,13 +1,14 @@
 """E6 (Appendix B, Fig. 18): data-fetch latency of direct loader→trainer
 transfer vs the Data-Constructor path at 1k/2k/4k GPUs.
 
-Run: spark-submit jobs/e6_actor_scalability.py
+Run: python jobs/e6_actor_scalability.py
+(The network model is numpy; no Spark session is started.)
 """
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _session import get_session, print_table  # noqa: E402
+from _session import print_table  # noqa: E402
 
 from repro.experiments.e6_scalability import run  # noqa: E402
 
@@ -32,4 +33,4 @@ def main(spark=None) -> list[dict]:
 
 
 if __name__ == "__main__":
-    main(get_session("e6-actor-scalability"))
+    main()

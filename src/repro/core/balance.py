@@ -54,11 +54,18 @@ def greedy_binpack(costs: np.ndarray, n_bins: int) -> np.ndarray:
 def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
     """k-way Karmarkar–Karp largest differencing method.
 
-    Each heap entry is a k-tuple of partial bin loads plus the item sets
-    behind them; repeatedly merge the two entries with the largest
-    spread, pairing the heaviest sub-bin of one with the lightest of the
-    other. Returns bin index per item. Typically much tighter than LPT
-    on heavy-tailed inputs.
+    Each heap entry is a k-tuple of partial bin loads, sorted heaviest
+    first, plus one slot node per load; repeatedly merge the two entries
+    with the largest spread, pairing the heaviest slot of one with the
+    lightest of the other (ties broken by heap insertion order, and the
+    merged loads sorted stably). Returns bin index per item. Typically
+    much tighter than LPT on heavy-tailed inputs.
+
+    A merge joins two slots in O(1): a slot node is an item, a join of
+    two non-empty slots, or empty (-1), so the nodes form a forest with
+    at most ``n - 1`` joins. One top-down pass over the joins, from the
+    final entry's k slots, labels every item with its bin. O(n k log k
+    + n log n).
     """
     costs = _validate(costs, n_bins)
     n = len(costs)
@@ -69,32 +76,46 @@ def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
         assign[:] = 0
         return assign
 
-    # entry: (-spread, tiebreak, loads desc, items-per-slot)
-    heap: list[tuple[float, int, list[float], list[list[int]]]] = []
-    for i in range(n):
-        loads = [float(costs[i])] + [0.0] * (n_bins - 1)
-        items: list[list[int]] = [[i]] + [[] for _ in range(n_bins - 1)]
-        heap.append((-loads[0], i, loads, items))
+    # node i < n is item i; node n + t joins left[t] and right[t]
+    left: list[int] = []
+    right: list[int] = []
+    # entry: (-spread, tiebreak, loads desc, slot node per load)
+    pad_loads, pad_slots = [0.0] * (n_bins - 1), [-1] * (n_bins - 1)
+    heap = [
+        (-c, i, [c] + pad_loads, [i] + pad_slots)
+        for i, c in enumerate(costs.tolist())
+    ]
     heapq.heapify(heap)
 
     tiebreak = n
     while len(heap) > 1:
-        s1, _, l1, it1 = heapq.heappop(heap)
-        s2, _, l2, it2 = heapq.heappop(heap)
+        _, _, l1, s1 = heapq.heappop(heap)
+        _, _, l2, s2 = heapq.heappop(heap)
         # pair heaviest of one with lightest of the other
-        merged_loads = [l1[j] + l2[n_bins - 1 - j] for j in range(n_bins)]
-        merged_items = [it1[j] + it2[n_bins - 1 - j] for j in range(n_bins)]
-        order = sorted(range(n_bins), key=lambda j: -merged_loads[j])
-        loads = [merged_loads[j] for j in order]
-        items = [merged_items[j] for j in order]
-        spread = loads[0] - loads[-1]
-        heapq.heappush(heap, (-spread, tiebreak, loads, items))
+        merged = [a + b for a, b in zip(l1, reversed(l2))]
+        slots = []
+        for a, b in zip(s1, reversed(s2)):
+            if b < 0:
+                slots.append(a)
+            elif a < 0:
+                slots.append(b)
+            else:
+                slots.append(n + len(left))
+                left.append(a)
+                right.append(b)
+        order = sorted(range(n_bins), key=merged.__getitem__, reverse=True)
+        loads = [merged[j] for j in order]
+        slots = [slots[j] for j in order]
+        heapq.heappush(heap, (loads[-1] - loads[0], tiebreak, loads, slots))
         tiebreak += 1
 
-    _, _, _, items = heap[0]
-    for b, bucket in enumerate(items):
-        for i in bucket:
-            assign[i] = b
+    label = [0] * (n + len(left))
+    for b, node in enumerate(heap[0][3]):
+        if node >= 0:
+            label[node] = b
+    for t in range(len(left) - 1, -1, -1):
+        label[left[t]] = label[right[t]] = label[n + t]
+    assign[:] = label[:n]
     return assign
 
 

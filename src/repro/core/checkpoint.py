@@ -22,23 +22,23 @@ from repro.core.source_loader import SourceLoader
 
 
 class CheckpointStore:
-    """Versioned key → state store with monotonically increasing
-    versions per key. ``put`` returns the new version."""
+    """Key → latest state store with monotonically increasing versions
+    per key; only the latest version is kept, since recovery reads
+    nothing older. ``put`` returns the new version."""
 
     def __init__(self):
-        self._data: dict[str, list[tuple[int, Any]]] = {}
+        self._data: dict[str, tuple[int, Any]] = {}
 
     def put(self, key: str, state: Any) -> int:
-        versions = self._data.setdefault(key, [])
-        version = versions[-1][0] + 1 if versions else 1
-        versions.append((version, state))
+        version = self._data[key][0] + 1 if key in self._data else 1
+        self._data[key] = (version, state)
         return version
 
     def latest(self, key: str) -> tuple[int, Any]:
-        versions = self._data.get(key)
-        if not versions:
-            raise KeyError(f"no checkpoint for {key!r}")
-        return versions[-1]
+        try:
+            return self._data[key]
+        except KeyError:
+            raise KeyError(f"no checkpoint for {key!r}") from None
 
     def has(self, key: str) -> bool:
         return key in self._data

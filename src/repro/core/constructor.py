@@ -108,16 +108,18 @@ class DataConstructor:
         text tokens + image tokens; sequences are packed FFD into
         context-length capacity with segment masks.
         """
-        mine = staged[staged["bucket"] == self.bucket]
+        sel = np.flatnonzero(staged["bucket"].to_numpy() == self.bucket)
+        sel = sel[np.argsort(staged["mb"].to_numpy()[sel], kind="stable")]
+        mine = staged.take(sel)
+        mb_of = mine["mb"].to_numpy()
+        fused = mine["text_len"].to_numpy() + mine["image_patches"].to_numpy()
         out = []
         for mb in range(self.plan.n_microbatches):
-            rows = mine[mine["mb"] == mb].reset_index(drop=True)
-            fused = (
-                rows["text_len"].to_numpy() + rows["image_patches"].to_numpy()
-                if len(rows)
-                else np.array([], dtype=np.int64)
+            s, e = np.searchsorted(mb_of, [mb, mb + 1])
+            rows = mine.iloc[s:e].reset_index(drop=True)
+            seqs = (
+                tuple(pack_sequences(fused[s:e], self.context_length)) if e > s else ()
             )
-            seqs = tuple(pack_sequences(fused, self.context_length)) if len(rows) else ()
             out.append(Microbatch(index=mb, sequences=seqs, sample_rows=rows))
         return out
 

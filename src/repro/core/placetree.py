@@ -59,6 +59,8 @@ class ClientPlaceTree:
         for d in self.order:
             self.world_size *= self.dims[d]
         self._clients = self._enumerate()
+        # (axis, group_size) -> bucket -> its clients in rank order
+        self._by_bucket: dict[tuple[str, int | None], dict[int, list[Client]]] = {}
 
     @classmethod
     def from_degrees(
@@ -142,6 +144,19 @@ class ClientPlaceTree:
         """rank → bucket for every client."""
         return {c.rank: self.bucket_of(c, axis, group_size) for c in self._clients}
 
+    def _bucket_clients(
+        self, axis: str, group_size: int | None
+    ) -> dict[int, list[Client]]:
+        """bucket → its clients in rank order, grouped once per
+        ``(axis, group_size)``."""
+        key = (axis, group_size)
+        if key not in self._by_bucket:
+            groups: dict[int, list[Client]] = {}
+            for c in self._clients:
+                groups.setdefault(self.bucket_of(c, axis, group_size), []).append(c)
+            self._by_bucket[key] = groups
+        return self._by_bucket[key]
+
     # -- consumers / broadcast ---------------------------------------------
 
     def consumers(
@@ -163,9 +178,7 @@ class ClientPlaceTree:
           unless ``metadata_only_pp`` is disabled.
         """
         out: dict[int, str] = {}
-        for c in self._clients:
-            if self.bucket_of(c, axis, group_size) != bucket:
-                continue
+        for c in self._bucket_clients(axis, group_size).get(bucket, ()):
             if any(c.coords.get(d, 0) > 0 for d in broadcast_dims):
                 continue
             if metadata_only_pp and c.coords.get("PP", 0) > 0:

@@ -138,26 +138,17 @@ class Planner:
         for ld in self.loaders:
             if ld.failed:
                 continue
-            deficit = min_per_source - len(ld.summary_buffer())
+            deficit = min_per_source - ld.n_buffered
             if deficit > 0:
                 ld.fill(deficit)
 
     def plan_step(self) -> StepPlan:
         """Produce and execute one step's loading plan (workflow 3-5)."""
-        summary = self.summary_buffer()
-        assigned = self.plan_raw(summary)
-        shard_of = {}
-        if len(summary):
-            shard_of = dict(
-                zip(
-                    zip(summary["source"], summary["row_idx"]),
-                    summary["_shard"],
-                )
-            )
+        assigned = self.plan_raw(self.summary_buffer())
         per_loader: dict[tuple[str, int], list[int]] = {}
-        for src, row in zip(assigned["source"], assigned["row_idx"]):
-            key = (src, int(shard_of[(src, row)]))
-            per_loader.setdefault(key, []).append(int(row))
+        keys = zip(assigned["source"], assigned["_shard"], assigned["row_idx"])
+        for src, shard, row in keys:
+            per_loader.setdefault((src, int(shard)), []).append(int(row))
         plan = StepPlan(
             step=self.step, assignments=assigned, per_loader_rows=per_loader
         )

@@ -149,6 +149,11 @@ class SourceLoader:
 
     # -- planner interface ---------------------------------------------------
 
+    @property
+    def n_buffered(self) -> int:
+        """Samples in the read buffer."""
+        return len(self._buffer)
+
     def summary_buffer(self) -> pd.DataFrame:
         """Lightweight buffer metadata for the Planner: sample indices,
         source signature, token lengths. No payloads cross this path."""

@@ -1,0 +1,101 @@
+"""Simple reference implementations that the tests compare the program's
+faster versions against, result for result.
+
+- :func:`karmarkar_karp` — k-way largest differencing that copies the
+  item lists behind every slot on each merge.
+- :func:`build_microbatches` — a Data Constructor's microbatches, one
+  boolean filter per microbatch.
+- :func:`consumers` — a bucket's consumers, found by asking every client
+  of the tree for its bucket.
+"""
+from __future__ import annotations
+
+import heapq
+from typing import Sequence
+
+import numpy as np
+import pandas as pd
+
+from repro.core.balance import _validate, pack_sequences
+from repro.core.constructor import Microbatch
+from repro.core.placetree import ClientPlaceTree
+
+
+def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
+    costs = _validate(costs, n_bins)
+    n = len(costs)
+    assign = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return assign
+    if n_bins == 1:
+        assign[:] = 0
+        return assign
+
+    # entry: (-spread, tiebreak, loads desc, items-per-slot)
+    heap: list[tuple[float, int, list[float], list[list[int]]]] = []
+    for i in range(n):
+        loads = [float(costs[i])] + [0.0] * (n_bins - 1)
+        items: list[list[int]] = [[i]] + [[] for _ in range(n_bins - 1)]
+        heap.append((-loads[0], i, loads, items))
+    heapq.heapify(heap)
+
+    tiebreak = n
+    while len(heap) > 1:
+        s1, _, l1, it1 = heapq.heappop(heap)
+        s2, _, l2, it2 = heapq.heappop(heap)
+        # pair heaviest of one with lightest of the other
+        merged_loads = [l1[j] + l2[n_bins - 1 - j] for j in range(n_bins)]
+        merged_items = [it1[j] + it2[n_bins - 1 - j] for j in range(n_bins)]
+        order = sorted(range(n_bins), key=lambda j: -merged_loads[j])
+        loads = [merged_loads[j] for j in order]
+        items = [merged_items[j] for j in order]
+        spread = loads[0] - loads[-1]
+        heapq.heappush(heap, (-spread, tiebreak, loads, items))
+        tiebreak += 1
+
+    _, _, _, items = heap[0]
+    for b, bucket in enumerate(items):
+        for i in bucket:
+            assign[i] = b
+    return assign
+
+
+def build_microbatches(
+    staged: pd.DataFrame, bucket: int, n_microbatches: int, context_length: int
+) -> list[Microbatch]:
+    mine = staged[staged["bucket"] == bucket]
+    out = []
+    for mb in range(n_microbatches):
+        rows = mine[mine["mb"] == mb].reset_index(drop=True)
+        fused = (
+            rows["text_len"].to_numpy() + rows["image_patches"].to_numpy()
+            if len(rows)
+            else np.array([], dtype=np.int64)
+        )
+        seqs = tuple(pack_sequences(fused, context_length)) if len(rows) else ()
+        out.append(Microbatch(index=mb, sequences=seqs, sample_rows=rows))
+    return out
+
+
+def consumers(
+    tree: ClientPlaceTree,
+    bucket: int,
+    axis: str,
+    *,
+    group_size: int | None = None,
+    broadcast_dims: Sequence[str] = (),
+    metadata_only_pp: bool = True,
+) -> dict[int, str]:
+    out: dict[int, str] = {}
+    for c in tree.clients:
+        if tree.bucket_of(c, axis, group_size) != bucket:
+            continue
+        if any(c.coords.get(d, 0) > 0 for d in broadcast_dims):
+            continue
+        if metadata_only_pp and c.coords.get("PP", 0) > 0:
+            out[c.rank] = "metadata"
+        elif axis == "DP" and tree.dims.get("CP", 1) > 1 and "CP" not in broadcast_dims:
+            out[c.rank] = "shard"
+        else:
+            out[c.rank] = "full"
+    return out

@@ -1,10 +1,20 @@
 """Unit tests for balancing and packing algorithms."""
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import balance as B
+from tests import reference
+
+# zeros and small integers give equal loads and equal spreads, so the
+# heap's and the load sort's tie-breaks decide the assignment
+COSTS = st.lists(
+    st.one_of(st.integers(0, 4).map(float), st.floats(min_value=0, max_value=1e6)),
+    max_size=60,
+)
 
 
 class TestGreedyBinpack:
@@ -102,6 +112,24 @@ class TestKarmarkarKarp:
             assert a.min() >= 0 and a.max() < n_bins
         # conservation: every item lands exactly once
         assert np.isclose(B.bin_loads(costs, a, n_bins).sum(), costs.sum())
+
+    @given(COSTS, st.integers(min_value=1, max_value=9))
+    @example([5.0], 4)  # n = 1 < k: the final entry's other slots are empty
+    @example([0.0, 0.0, 0.0], 3)  # n = k, all tied
+    @example([3.0, 3.0], 9)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, costs, n_bins):
+        costs = np.asarray(costs, dtype=np.float64)
+        assert np.array_equal(
+            B.karmarkar_karp(costs, n_bins), reference.karmarkar_karp(costs, n_bins)
+        )
+
+    def test_matches_reference_at_step_size(self):
+        # one coyo_stream step: 2304 samples over 32 DP buckets
+        costs = np.random.default_rng(12).pareto(1.2, 2304) + 1
+        assert np.array_equal(
+            B.karmarkar_karp(costs, 32), reference.karmarkar_karp(costs, 32)
+        )
 
 
 class TestMethodRegistry:
@@ -202,3 +230,20 @@ class TestTwoLevel:
         costs = np.random.default_rng(11).random(64)
         bucket, bins = B.balance_two_level(costs, 4, 2, method=method)
         assert bucket.max() < 4 and bins.max() < 2
+
+    @given(
+        COSTS,
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+    )
+    @example([5.0], 3, 2, True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, costs, n_buckets, n_bins, intra_reorder):
+        costs = np.asarray(costs, dtype=np.float64)
+        got = B.balance_two_level(costs, n_buckets, n_bins, intra_reorder=intra_reorder)
+        with mock.patch.dict(B._METHODS, karmarkar_karp=reference.karmarkar_karp):
+            want = B.balance_two_level(
+                costs, n_buckets, n_bins, intra_reorder=intra_reorder
+            )
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

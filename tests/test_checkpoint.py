@@ -1,4 +1,7 @@
 """Unit tests for shadow loaders and differential checkpointing (§6.1)."""
+import gc
+import weakref
+
 import pytest
 
 from repro.core.checkpoint import (
@@ -20,6 +23,19 @@ class TestStore:
         st = CheckpointStore()
         assert st.put("k", {"a": 1}) == 1
         assert st.put("k", {"a": 2}) == 2
+        assert st.latest("k") == (2, {"a": 2})
+
+    def test_keeps_only_latest_state(self):
+        class State(dict):
+            pass
+
+        st, first = CheckpointStore(), State(a=1)
+        st.put("k", first)
+        old = weakref.ref(first)
+        del first
+        st.put("k", State(a=2))
+        gc.collect()
+        assert old() is None
         assert st.latest("k") == (2, {"a": 2})
 
     def test_missing_key(self):

@@ -7,10 +7,12 @@ import weakref
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.constructor import DataConstructor, zigzag_cp_shards
-from repro.core.dgraph import DGraph, with_sample_id
+from repro.core.dgraph import DGraph, LoadingPlan, with_sample_id
 from repro.core.placetree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
@@ -19,6 +21,7 @@ from repro.data.sources import coyo_lite, generate_samples, write_parquet_source
 from repro.oracle import assert_equivalent
 from repro.sim.models import BACKBONES
 from repro.sim.models import sample_backbone_cost
+from tests import reference
 
 SPECS = coyo_lite()
 CTX = 2048
@@ -281,6 +284,46 @@ class TestConstructor:
         assert all(
             plan.tree.clients[r].coords["TP"] == 0 for r in payloads
         )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),  # bucket: bucket 3 of 4 stays empty
+                st.integers(0, 3),  # mb: 3 lies past n_microbatches and is ignored
+                st.integers(0, 3000),
+                st.integers(0, 3000),
+            ),
+            max_size=40,
+        )
+    )
+    @example([])
+    @example([(0, 1, 10, 0)])  # microbatch 0 of bucket 0 is empty
+    @settings(max_examples=100, deadline=None)
+    def test_microbatches_match_reference(self, rows):
+        n_mb, ctx = 3, 4096
+        staged = pd.DataFrame(
+            rows, columns=["bucket", "mb", "text_len", "image_patches"], dtype=np.int64
+        )
+        staged = staged.assign(
+            source=[f"s{i % 3}" for i in range(len(rows))],
+            cost=np.arange(len(rows)) / 7,
+            bucket=staged["bucket"].astype(np.int32),
+            mb=staged["mb"].astype(np.int32),
+        )
+        tree = ClientPlaceTree.from_degrees(dp=4)
+        plan = LoadingPlan(
+            assignments=staged, tree=tree, axis="DP", group_size=None, n_buckets=4,
+            n_microbatches=n_mb, broadcast_dims=(), lineage=(),
+        )
+        for b in range(4):
+            got = DataConstructor(b, plan, ctx).build_microbatches(staged)
+            want = reference.build_microbatches(staged, b, n_mb, ctx)
+            assert len(got) == len(want) == n_mb
+            for g, w in zip(got, want):
+                assert (g.index, g.sequences) == (w.index, w.sequences)
+                pd.testing.assert_frame_equal(
+                    g.sample_rows, w.sample_rows, check_index_type=True
+                )
 
     def test_zigzag_shards(self):
         shards = zigzag_cp_shards(8, 2)

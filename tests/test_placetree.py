@@ -1,7 +1,10 @@
 """Unit tests for the ClientPlaceTree device-mesh model."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.placetree import AXIS_WORLD, ClientPlaceTree
+from tests import reference
 
 
 class TestConstruction:
@@ -127,6 +130,28 @@ class TestConsumers:
             len(t.consumers(b, "DP", broadcast_dims=("TP",))) for b in range(2)
         )
         assert bcast * 4 == plain
+
+    @given(
+        st.fixed_dictionaries({d: st.integers(1, 3) for d in ("pp", "dp", "cp", "tp")}),
+        st.lists(st.sampled_from(("PP", "CP", "TP")), max_size=2, unique=True),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, degrees, broadcast_dims, metadata_only_pp):
+        # one tree serves every (axis, group_size) in turn, as a plan's
+        # constructors share their plan's tree
+        t = ClientPlaceTree.from_degrees(**degrees)
+        for axis in ("DP", "CP", AXIS_WORLD):
+            for group_size in (None, 1, 2, 3):
+                kw = dict(
+                    group_size=group_size,
+                    broadcast_dims=tuple(broadcast_dims),
+                    metadata_only_pp=metadata_only_pp,
+                )
+                for b in range(t.n_buckets(axis, group_size) + 1):
+                    got = t.consumers(b, axis, **kw)
+                    want = reference.consumers(t, b, axis, **kw)
+                    assert list(got.items()) == list(want.items())
 
 
 class TestSelectiveBroadcast:
