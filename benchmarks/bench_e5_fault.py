@@ -1,7 +1,7 @@
 """E5 benchmark (Fig. 16): fault-injection traces + the functional
-shadow-recovery path over real Planner/loader actors."""
+shadow-promotion and replay paths over real Planner/loader actors."""
 from repro.experiments.e5_fault import (
-    functional_shadow_recovery,
+    functional_recovery,
     loader_panel,
     planner_panel,
 )
@@ -19,5 +19,6 @@ def test_e5_failure_traces(benchmark):
 
 
 def test_e5_functional_recovery(benchmark):
-    out = benchmark.pedantic(functional_shadow_recovery, rounds=3, iterations=1)
-    assert out["streams_identical"]
+    rows = benchmark.pedantic(functional_recovery, rounds=3, iterations=1)
+    assert [r["path"] for r in rows] == ["shadow", "replay"]
+    assert all(r["streams_identical"] for r in rows)

@@ -1,6 +1,6 @@
 """E5 (Fig. 16): non-interrupted fault tolerance — planner failures
 under prefetch buffers of 2/4, loader failures with shadow vs replay,
-plus a functional shadow-recovery check over real loaders.
+plus a functional check of both recovery paths over real loaders.
 
 Run: python jobs/e5_fault_tolerance.py
 (The fault simulation and the synthetic loaders are numpy/pandas; no
@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _session import print_table  # noqa: E402
 
 from repro.experiments.e5_fault import (  # noqa: E402
-    functional_shadow_recovery,
+    functional_recovery,
     loader_panel,
     planner_panel,
 )
@@ -38,8 +38,7 @@ def main(spark=None) -> list[dict]:
         )
         print(f"  {r.label}: spikes at [{spikes or 'none'}]")
 
-    func = functional_shadow_recovery()
-    print_table([func], "E5 — functional shadow recovery (stream equality)")
+    print_table(functional_recovery(), "E5 — functional recovery (stream equality)")
     return table
 
 

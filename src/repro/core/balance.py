@@ -28,8 +28,8 @@ def _validate(costs: np.ndarray, n_bins: int) -> np.ndarray:
         raise ValueError("costs must be 1-D")
     if n_bins <= 0:
         raise ValueError("n_bins must be positive")
-    if (costs < 0).any():
-        raise ValueError("costs must be non-negative")
+    if not (np.isfinite(costs) & (costs >= 0)).all():
+        raise ValueError("costs must be finite and non-negative")
     return costs
 
 

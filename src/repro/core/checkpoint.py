@@ -1,21 +1,26 @@
 """Shadow loaders and differential checkpointing (§6.1, Fig. 11).
 
 - :class:`CheckpointStore` — a versioned persistent store (dict-backed
-  here; the paper uses a remote KV/object store). Writes carry an
-  explicit latency so recovery experiments can account for them.
-- :class:`DifferentialCheckpointer` — the Planner checkpoints every
-  ``planner_interval`` steps while Source Loaders checkpoint every
-  ``loader_interval`` (> planner's) because their large read buffers
-  make journaling expensive; the gap is bridged at recovery time by
-  *replay*: the loader re-reads rows from its checkpointed cursor, which
-  is deterministic by construction of the data generator.
+  here; the paper uses a remote KV/object store).
+- :class:`DifferentialCheckpointer` — the Planner record is written
+  every step and journals each loader's delivered position
+  (``prepared_upto``, one int per source shard), while Source Loaders
+  checkpoint only every ``loader_interval`` steps because their large
+  read buffers make journaling expensive. A failed loader is *replayed*:
+  it restores its checkpoint with the journaled delivered position and
+  re-reads from the first undelivered row, which is deterministic by
+  construction of the data generator.
 - :class:`ShadowLoader` — a hot-standby replica kept state-synchronised
-  with its active loader every step; ``promote()`` swaps it in with
-  zero replay, the spike-free recovery path of Fig. 16 (right).
+  with its active loader every step; ``promote()`` swaps it in with no
+  replay stall, the spike-free recovery path of Fig. 16 (right).
+
+Both paths restart through :meth:`SourceLoader.resume`, at the first
+undelivered row, so every sample is delivered exactly once whichever
+path runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.source_loader import SourceLoader
@@ -44,45 +49,53 @@ class CheckpointStore:
         return key in self._data
 
 
+def _key(ld: SourceLoader) -> str:
+    return f"loader/{ld.spec.name}/{ld.shard}"
+
+
 @dataclass
 class DifferentialCheckpointer:
-    """Adaptive-frequency persistence: planner state every
-    ``planner_interval`` steps, each loader every ``loader_interval``
-    steps (the paper sets the loader's *lower* to gain a store window)."""
+    """Adaptive-frequency persistence: the planner record every step,
+    each loader every ``loader_interval`` steps."""
 
     store: CheckpointStore
-    planner_interval: int = 1
     loader_interval: int = 4
 
     def __post_init__(self):
-        if self.loader_interval < self.planner_interval:
-            raise ValueError(
-                "loader_interval must be >= planner_interval (differential "
-                "checkpointing journals loaders less often)"
-            )
+        if self.loader_interval < 1:
+            raise ValueError("loader_interval must be >= 1")
 
     def on_step(self, step: int, planner_state: dict, loaders: list[SourceLoader]) -> None:
-        if step % self.planner_interval == 0:
-            self.store.put("planner", dict(planner_state, step=step))
+        delivered = {_key(ld): ld.state.prepared_upto for ld in loaders}
+        self.store.put("planner", dict(planner_state, step=step, delivered=delivered))
         if step % self.loader_interval == 0:
             for ld in loaders:
-                self.store.put(f"loader/{ld.spec.name}/{ld.shard}", ld.checkpoint())
+                self.store.put(_key(ld), ld.checkpoint())
 
     def recover_loader(self, loader: SourceLoader) -> int:
-        """Restore a failed loader from its latest checkpoint and replay
-        the rows between the checkpointed cursor and where it had read
-        to. Returns the replay window size (rows re-read)."""
-        cursor_before = loader.state.cursor
-        _, ckpt = self.store.latest(f"loader/{loader.spec.name}/{loader.shard}")
-        loader.restore(ckpt)
-        replay = max(0, cursor_before - loader.state.cursor)
-        if replay > 0:
-            loader.fill(replay)
-        return replay
+        """Restore a failed loader from its latest checkpoint with the
+        delivered position journaled in the latest planner record, then
+        re-read from the first undelivered row to where it had read.
+        Returns the number of rows re-read."""
+        read_upto, key = loader.state.cursor, _key(loader)
+        _, ckpt = self.store.latest(key)
+        _, planner = self.store.latest("planner")
+        loader.restore(dict(ckpt, prepared_upto=planner["delivered"][key]))
+        return loader.resume(read_upto)
 
     def recover_planner(self) -> dict:
         _, state = self.store.latest("planner")
         return state
+
+
+def _replica(ld: SourceLoader) -> SourceLoader:
+    """A fresh loader for ``ld``'s source shard, restored to its state."""
+    replica = SourceLoader(
+        ld.spec, spark=ld.spark, path=ld.path, shard=ld.shard, n_shards=ld.n_shards,
+        workers=ld.workers, buffer_capacity=ld.buffer_capacity, seed=ld.seed,
+    )
+    replica.restore(ld.checkpoint())
+    return replica
 
 
 class ShadowLoader:
@@ -91,63 +104,29 @@ class ShadowLoader:
     ``sync()`` mirrors the active loader's checkpointable state (cursor
     and progress counters) into the standby every step — cheap, since it
     is metadata only; the standby refills its own buffer lazily. On
-    ``promote()`` the standby becomes the active loader immediately,
-    refilling from the synchronised cursor, so data delivery continues
-    without a replay stall.
+    ``promote()`` the standby becomes the active loader immediately, so
+    data delivery continues without a replay stall.
     """
 
     def __init__(self, active: SourceLoader):
         self.active = active
-        self.standby = SourceLoader(
-            active.spec,
-            spark=active.spark,
-            path=active.path,
-            shard=active.shard,
-            n_shards=active.n_shards,
-            workers=active.workers,
-            buffer_capacity=active.buffer_capacity,
-            seed=active.seed,
-        )
-        self._synced_cursor = 0
+        self.standby = _replica(active)
 
     def sync(self) -> None:
         """Mirror active state into the standby (called each step)."""
-        if self.active.failed:
-            return
-        ckpt = self.active.checkpoint()
-        self.standby.restore(ckpt)
-        self._synced_cursor = ckpt["cursor"]
+        if not self.active.failed:
+            self.standby.restore(self.active.checkpoint())
 
     def promote(self) -> SourceLoader:
         """Swap the standby in as the new active loader.
 
-        The synchronised cursor counts rows the failed loader had *read*,
-        which includes buffered rows not yet delivered to a plan; the
-        standby rewinds to the last delivered row (``prepared_upto`` —
-        plans consume the buffer as a prefix) and re-reads the rest, so
-        no sample is lost and none is delivered twice. The re-read is a
-        warm-standby refresh, not a stall: it overlaps the current
-        iteration like any ``fill``.
+        The standby re-reads the failed loader's undelivered rows, from
+        the first undelivered row up to the synchronised read cursor
+        (:meth:`SourceLoader.resume`), so no sample is lost and none is
+        delivered twice. The re-read is a warm-standby refresh, not a
+        stall: it overlaps the current iteration like any ``fill``.
         """
         promoted = self.standby
-        n, shard = promoted.n_shards, promoted.shard
-        delivered = promoted.state.prepared_upto
-        # shard-local position of the first undelivered row
-        pos = max(0, (delivered - shard + n - 1) // n) if delivered > 0 else 0
-        undelivered = promoted.state.cursor - pos
-        promoted.state.cursor = pos
-        if undelivered > 0:
-            promoted.fill(undelivered)
-        self.active = promoted
-        self.standby = SourceLoader(
-            promoted.spec,
-            spark=promoted.spark,
-            path=promoted.path,
-            shard=promoted.shard,
-            n_shards=promoted.n_shards,
-            workers=promoted.workers,
-            buffer_capacity=promoted.buffer_capacity,
-            seed=promoted.seed,
-        )
-        self.standby.restore(promoted.checkpoint())
+        promoted.resume(promoted.state.cursor)
+        self.active, self.standby = promoted, _replica(promoted)
         return promoted

@@ -21,8 +21,9 @@ buffered bytes, the (P, T, M) cost tuple of §5.1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
@@ -57,7 +58,7 @@ def actor_memory_gb(workers: int, state_gb: float) -> float:
 class LoaderState:
     """Checkpointable state: cursor + staged/prepared progress. The read
     buffer itself is *not* checkpointed (it is large); recovery re-reads
-    from ``cursor_ckpt`` — the replay path of §6.1."""
+    it from ``prepared_upto``, the first undelivered row."""
 
     cursor: int = 0
     prepared_upto: int = 0
@@ -169,25 +170,29 @@ class SourceLoader:
         """Execute a loading plan: pop the named samples from the read
         buffer, apply the sample transformation, and stage them for the
         Data Constructor. Returns the (simulated) transformation
-        latency, amortised across this actor's workers."""
+        latency, amortised across this actor's workers. Plans consume
+        the buffer as a prefix, so ``prepared_upto`` marks the first
+        undelivered row (:meth:`resume`): a plan that skips rows at the
+        buffer's head raises ``ValueError``, one naming rows not in the
+        buffer ``KeyError``."""
         if self.failed:
             raise RuntimeError(f"loader for {self.spec.name} has failed")
-        wanted = set(int(i) for i in row_idxs)
-        have = self._buffer["row_idx"].isin(wanted) if not self._buffer.empty else None
-        if have is None or int(have.sum()) != len(wanted):
-            got = set() if have is None else set(self._buffer.loc[have, "row_idx"])
-            raise KeyError(
-                f"{self.spec.name}: plan requests rows not in buffer: "
-                f"{sorted(wanted - got)[:5]}..."
-            )
-        picked = self._buffer[have].sort_values("row_idx").reset_index(drop=True)
-        self._buffer = self._buffer[~have].reset_index(drop=True)
-        self._staged.append(picked)
-        self.state.prepared_upto = max(
-            self.state.prepared_upto, int(picked["row_idx"].max()) + 1
-        )
+        wanted = np.sort(np.asarray(row_idxs, dtype=np.int64))
+        have = self._buffer["row_idx"].to_numpy() if self.n_buffered else wanted[:0]
+        if not np.array_equal(have[: len(wanted)], wanted):
+            missing = np.setdiff1d(wanted, have)
+            if len(missing):
+                raise KeyError(
+                    f"{self.spec.name}: plan requests rows not in buffer: "
+                    f"{missing[:5].tolist()}..."
+                )
+            raise ValueError(f"{self.spec.name}: plan skips rows at the buffer's head")
+        self._staged.append(self._buffer.iloc[: len(wanted)].reset_index(drop=True))
+        self._buffer = self._buffer.iloc[len(wanted) :].reset_index(drop=True)
+        if len(wanted):
+            self.state.prepared_upto = int(wanted[-1]) + 1
         self.state.steps_served += 1
-        return self.transform_latency(len(picked))
+        return self.transform_latency(len(wanted))
 
     def pop_staged(self) -> pd.DataFrame:
         """Constructor-side fetch of everything staged so far."""
@@ -237,6 +242,17 @@ class SourceLoader:
         self._buffer = pd.DataFrame()
         self._staged = []
         self.failed = False
+
+    def resume(self, read_upto: int) -> int:
+        """Restart at the first undelivered row — the one restart rule of
+        both §6.1 recovery paths. The cursor moves to the shard-local
+        position of row ``prepared_upto`` and the rows up to
+        ``read_upto``, where the failed loader had read, are re-read.
+        Returns the number of rows re-read."""
+        # shard rows below prepared_upto: ceil((prepared_upto - shard) / n)
+        n = self.n_shards
+        self.state.cursor = (self.state.prepared_upto - self.shard + n - 1) // n
+        return self.fill(read_upto - self.state.cursor)
 
     def fail(self) -> None:
         """Inject a failure (for fault-tolerance experiments)."""

@@ -5,16 +5,17 @@ warm-up steps under prefetch buffers of 2 and 4 units (64 concurrent
 loaders). Right panel: randomly terminating 5-10 of 64 loaders at step
 35, with shadow-loader promotion vs differential-checkpoint replay.
 
-Additionally an end-to-end functional check: a real Planner + loaders +
-ShadowLoader fleet survives a loader kill with identical delivered
-samples (the discrete-event traces quantify the latency shape; the
-functional path proves no sample is lost or duplicated).
+Additionally an end-to-end functional check: a real Planner + loader
+fleet survives a loader kill with identical delivered samples under
+both recovery paths, shadow promotion and checkpoint replay (the
+discrete-event traces quantify the latency shape; the functional path
+proves no sample is lost or duplicated).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
 import pandas as pd
 
 from repro.core.checkpoint import CheckpointStore, DifferentialCheckpointer, ShadowLoader
@@ -71,65 +72,67 @@ def loader_panel(
     return out
 
 
-def functional_shadow_recovery(
-    *, n_steps_before: int = 3, n_steps_after: int = 3, kill_fraction: float = 0.4
-) -> dict:
-    """Run a real Planner over coyo loaders with shadows; kill a subset
-    mid-run, promote, and verify the delivered sample stream equals an
-    uninterrupted run's stream."""
-    def build():
-        specs = coyo_lite()
-        loaders = [SourceLoader(s, seed=1, buffer_capacity=2048) for s in specs]
-        tree = ClientPlaceTree.from_degrees(dp=2)
-        sched = ConstantSchedule([1.0] * len(specs))
-        pl = Planner(loaders, tree, sched, batch_size=40, method=None)
-        return specs, loaders, pl
+RECOVERY_PATHS = ("shadow", "replay")
 
-    # reference: uninterrupted run
-    _, ref_loaders, ref_pl = build()
-    ref_stream = []
-    for _ in range(n_steps_before + n_steps_after):
-        ref_pl.ensure_buffered(60)
-        p = ref_pl.plan_step()
-        ref_stream.append(p.assignments[["source_id", "row_idx"]])
-    ref = pd.concat(ref_stream, ignore_index=True)
 
-    # faulty run with shadows
-    specs, loaders, pl = build()
-    store = CheckpointStore()
-    ckpt = DifferentialCheckpointer(store, loader_interval=2)
+def delivered_stream(
+    n_steps: int,
+    *,
+    n_shards: int = 1,
+    loader_interval: int = 4,
+    kill_at: int = 0,
+    kills: Sequence[tuple[int, str]] = (),
+) -> pd.DataFrame:
+    """Run the §3 loop of a real Planner over coyo loaders (``n_shards``
+    Source-Parallel shards per source), with shadows synced and
+    differential checkpoints taken every step, and return the delivered
+    ``(source_id, row_idx)`` stream. Before step ``kill_at`` each
+    ``(loader index, path)`` in ``kills`` is killed and recovered by its
+    path: a ``"shadow"`` promotion or a checkpoint ``"replay"``."""
+    specs = coyo_lite()
+    loaders = [
+        SourceLoader(s, shard=k, n_shards=n_shards, seed=1, buffer_capacity=2048)
+        for s in specs
+        for k in range(n_shards)
+    ]
+    tree = ClientPlaceTree.from_degrees(dp=2)
+    sched = ConstantSchedule([1.0] * len(specs))
+    pl = Planner(loaders, tree, sched, batch_size=40, method=None)
     shadows = [ShadowLoader(ld) for ld in loaders]
+    ckpt = DifferentialCheckpointer(CheckpointStore(), loader_interval=loader_interval)
     stream = []
-    for step in range(n_steps_before):
+    for step in range(n_steps):
+        if step == kill_at:
+            for i, path in kills:
+                pl.loaders[i].fail()
+                if path == "shadow":
+                    pl.loaders[i] = shadows[i].promote()
+                elif path == "replay":
+                    ckpt.recover_loader(pl.loaders[i])
+                else:
+                    raise ValueError(f"unknown recovery path {path!r}")
         pl.ensure_buffered(60)
-        p = pl.plan_step()
-        stream.append(p.assignments[["source_id", "row_idx"]])
+        stream.append(pl.plan_step().assignments[["source_id", "row_idx"]])
         for sh in shadows:
             sh.sync()
-        ckpt.on_step(step, pl.checkpoint(), loaders)
+        ckpt.on_step(step, pl.checkpoint(), pl.loaders)
+    return pd.concat(stream, ignore_index=True)
 
-    n_kill = max(1, int(kill_fraction * len(loaders)))
-    killed = list(range(n_kill))
-    for i in killed:
-        loaders[i].fail()
-    for i in killed:  # immediate shadow promotion
-        promoted = shadows[i].promote()
-        pl.loaders[i] = promoted
-        loaders[i] = promoted
 
-    for step in range(n_steps_before, n_steps_before + n_steps_after):
-        pl.ensure_buffered(60)
-        p = pl.plan_step()
-        stream.append(p.assignments[["source_id", "row_idx"]])
-        for sh in shadows:
-            sh.sync()
-        ckpt.on_step(step, pl.checkpoint(), loaders)
-    got = pd.concat(stream, ignore_index=True)
-
-    same = sorted(map(tuple, ref.to_numpy())) == sorted(map(tuple, got.to_numpy()))
-    return {
-        "killed": n_kill,
-        "streams_identical": bool(same),
-        "samples_delivered": int(len(got)),
-        "duplicates": int(got.duplicated().sum()),
-    }
+def functional_recovery(
+    *, n_steps_before: int = 3, n_steps_after: int = 3, kill_fraction: float = 0.4
+) -> list[dict]:
+    """Kill a subset of a real loader fleet mid-run and recover it by
+    each path; one row per path saying whether the delivered sample
+    stream equals an uninterrupted run's stream."""
+    n_steps = n_steps_before + n_steps_after
+    ref = delivered_stream(n_steps)
+    n_kill = max(1, int(kill_fraction * len(coyo_lite())))
+    rows = []
+    for path in RECOVERY_PATHS:
+        kills = [(i, path) for i in range(n_kill)]
+        got = delivered_stream(n_steps, kill_at=n_steps_before, kills=kills)
+        same, dups = bool(got.equals(ref)), int(got.duplicated().sum())
+        rows.append(dict(path=path, killed=n_kill, streams_identical=same,
+                         samples_delivered=len(got), duplicates=dups))
+    return rows

@@ -17,6 +17,13 @@ COSTS = st.lists(
 )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", [B.greedy_binpack, B.karmarkar_karp])
+def test_rejects_non_finite_costs(method, bad):
+    with pytest.raises(ValueError):
+        method(np.array([bad, 1.0, 2.0]), 2)
+
+
 class TestGreedyBinpack:
     def test_empty(self):
         assert B.greedy_binpack(np.array([]), 3).shape == (0,)

@@ -1,8 +1,12 @@
 """Unit tests for shadow loaders and differential checkpointing (§6.1)."""
+import functools
 import gc
 import weakref
 
+import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.checkpoint import (
     CheckpointStore,
@@ -11,6 +15,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.source_loader import SourceLoader
 from repro.data.sources import coyo_lite
+from repro.experiments.e5_fault import RECOVERY_PATHS, delivered_stream
 
 
 @pytest.fixture
@@ -50,13 +55,13 @@ class TestStore:
 
 
 class TestDifferential:
-    def test_loader_interval_must_dominate(self):
+    def test_loader_interval_must_be_positive(self):
         with pytest.raises(ValueError):
-            DifferentialCheckpointer(CheckpointStore(), planner_interval=4, loader_interval=2)
+            DifferentialCheckpointer(CheckpointStore(), loader_interval=0)
 
     def test_planner_checkpointed_more_often(self, spec):
         st = CheckpointStore()
-        dc = DifferentialCheckpointer(st, planner_interval=1, loader_interval=4)
+        dc = DifferentialCheckpointer(st, loader_interval=4)
         ld = SourceLoader(spec)
         for step in range(8):
             ld.fill(2)
@@ -73,9 +78,35 @@ class TestDifferential:
         ld.fill(6)  # cursor now 10
         ld.fail()
         replay = dc.recover_loader(ld)
-        assert replay == 6
+        # nothing was delivered, so rows 0-9 are all re-read
+        assert replay == 10
         assert ld.state.cursor == 10  # caught back up
-        assert len(ld.summary_buffer()) == 6
+        assert list(ld.summary_buffer()["row_idx"]) == list(range(10))
+
+    def test_recover_skips_rows_delivered_after_checkpoint(self, spec):
+        st = CheckpointStore()
+        dc = DifferentialCheckpointer(st, loader_interval=4)
+        ld = SourceLoader(spec, seed=1)
+        ld.fill(10)
+        dc.on_step(0, {}, [ld])  # loader checkpoint: cursor 10, nothing delivered
+        ld.prepare(list(range(4)))  # rows 0-3 delivered after it
+        dc.on_step(1, {}, [ld])  # the planner record journals delivered row 4
+        ld.fill(2)  # cursor now 12
+        ld.fail()
+        assert dc.recover_loader(ld) == 8
+        assert ld.state.cursor == 12
+        assert list(ld.summary_buffer()["row_idx"]) == list(range(4, 12))
+
+    def test_recover_sharded_loader(self, spec):
+        dc = DifferentialCheckpointer(CheckpointStore(), loader_interval=4)
+        ld = SourceLoader(spec, shard=1, n_shards=2)
+        ld.fill(5)  # rows 1, 3, 5, 7, 9
+        dc.on_step(0, {}, [ld])
+        ld.prepare([1, 3])
+        dc.on_step(1, {}, [ld])
+        ld.fail()
+        assert dc.recover_loader(ld) == 3
+        assert list(ld.summary_buffer()["row_idx"]) == [5, 7, 9]
 
     def test_recover_planner(self):
         st = CheckpointStore()
@@ -133,6 +164,15 @@ class TestShadow:
         assert sh.standby is not promoted
         assert sh.standby.state.cursor == promoted.state.cursor
 
+    def test_promote_sharded_loader(self, spec):
+        active = SourceLoader(spec, shard=1, n_shards=2)
+        sh = ShadowLoader(active)
+        active.fill(5)  # rows 1, 3, 5, 7, 9
+        active.prepare([1, 3])
+        sh.sync()
+        active.fail()
+        assert list(sh.promote().summary_buffer()["row_idx"]) == [5, 7, 9]
+
     def test_sync_skips_failed_active(self, spec):
         active = SourceLoader(spec)
         sh = ShadowLoader(active)
@@ -142,3 +182,42 @@ class TestShadow:
         active.fail()
         sh.sync()  # must not copy failed state
         assert sh.standby.state.cursor == 4
+
+
+N_STEPS = 6
+
+
+@functools.cache
+def _uninterrupted(n_shards: int) -> pd.DataFrame:
+    return delivered_stream(N_STEPS, n_shards=n_shards)
+
+
+class TestExactlyOnce:
+    """Whatever the failure step, killed set and recovery path of each
+    killed loader, the delivered stream equals an uninterrupted run's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_shards=st.sampled_from([1, 2]),
+        loader_interval=st.integers(1, 4),
+        kill_at=st.integers(1, N_STEPS - 1),  # >= 1: a loader checkpoint exists
+        data=st.data(),
+    )
+    def test_stream_equals_uninterrupted(self, n_shards, loader_interval, kill_at, data):
+        kills = data.draw(
+            st.dictionaries(
+                st.integers(0, 5 * n_shards - 1),  # 5 coyo sources x n_shards
+                st.sampled_from(RECOVERY_PATHS),
+                min_size=1,
+            ),
+            label="kills",
+        )
+        got = delivered_stream(
+            N_STEPS,
+            n_shards=n_shards,
+            loader_interval=loader_interval,
+            kill_at=kill_at,
+            kills=list(kills.items()),
+        )
+        assert not got.duplicated().any()
+        pd.testing.assert_frame_equal(got, _uninterrupted(n_shards))

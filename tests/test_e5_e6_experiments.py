@@ -2,7 +2,7 @@
 import math
 
 from repro.experiments.e5_fault import (
-    functional_shadow_recovery,
+    functional_recovery,
     loader_panel,
     planner_panel,
 )
@@ -37,14 +37,17 @@ class TestE5Loader:
 
 class TestE5Functional:
     def test_stream_identical_after_promotion(self):
-        out = functional_shadow_recovery()
-        assert out["streams_identical"]
-        assert out["duplicates"] == 0
-        assert out["killed"] >= 1
+        rows = functional_recovery()
+        assert [r["path"] for r in rows] == ["shadow", "replay"]
+        for out in rows:
+            assert out["streams_identical"]
+            assert out["duplicates"] == 0
+            assert out["killed"] >= 1
 
     def test_larger_kill_fraction_still_recovers(self):
-        out = functional_shadow_recovery(kill_fraction=0.8)
-        assert out["streams_identical"]
+        rows = functional_recovery(kill_fraction=0.8)
+        assert [r["path"] for r in rows] == ["shadow", "replay"]
+        assert all(out["streams_identical"] for out in rows)
 
 
 class TestE6:

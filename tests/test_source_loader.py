@@ -85,6 +85,16 @@ class TestPrepare:
         with pytest.raises(KeyError):
             ld.prepare([99])
 
+    def test_prepare_rows_past_prefix_raises(self, spec):
+        ld = SourceLoader(spec)
+        ld.fill(5)
+        with pytest.raises(ValueError):
+            ld.prepare([0, 2])  # row 1 is buffered but skipped
+        assert list(ld.summary_buffer()["row_idx"]) == list(range(5))
+        ld.prepare([1, 0])  # a prefix in any order
+        assert list(ld.pop_staged()["row_idx"]) == [0, 1]
+        assert ld.state.prepared_upto == 2
+
     def test_pop_staged_drains(self, spec):
         ld = SourceLoader(spec)
         ld.fill(5)
