@@ -1,24 +1,21 @@
 """E2 benchmark (Fig. 13): one representative orchestration column —
-Llama-12B + ViT-2B on coyo700m at 8k context, all three strategies.
-The full grid is produced by jobs/e2_orchestration.py."""
-import pytest
-
-from repro.experiments.e2_orchestration import run_cell
+Llama-12B + ViT-2B on coyo700m at 8k context, all three strategies,
+as one ``run_grid`` call over one buffer (what jobs/e2_orchestration.py
+runs per column). The full grid is produced by jobs/e2_orchestration.py."""
+from repro.experiments.e2_orchestration import run_grid
 
 
 def _column(spark):
-    out = {}
-    for st in ("vanilla", "backbone", "hybrid"):
-        out[st] = run_cell(
-            spark,
-            backbone="llama-12b",
-            encoder="vit-2b",
-            context_length=8192,
-            dataset="coyo700m",
-            strategy=st,
-            n_steps=3,
-        ).throughput
-    return out
+    cells = run_grid(
+        spark,
+        backbones=("llama-12b",),
+        encoders=("vit-2b",),
+        context_lengths=(8192,),
+        datasets=("coyo700m",),
+        n_steps=3,
+    )
+    return {c.strategy: c.throughput for c in cells}
+
 
 def test_e2_orchestration_column(benchmark, spark):
     tput = benchmark.pedantic(_column, args=(spark,), rounds=3, iterations=1)

@@ -66,8 +66,12 @@ class DifferentialCheckpointer:
             raise ValueError("loader_interval must be >= 1")
 
     def on_step(self, step: int, planner_state: dict, loaders: list[SourceLoader]) -> None:
+        """Record step ``step``, just delivered: ``planner_state`` as the
+        Planner gave it (its ``step`` is the next one to plan) plus each
+        loader's delivered position; ``step`` itself only times the
+        loader checkpoints."""
         delivered = {_key(ld): ld.state.prepared_upto for ld in loaders}
-        self.store.put("planner", dict(planner_state, step=step, delivered=delivered))
+        self.store.put("planner", dict(planner_state, delivered=delivered))
         if step % self.loader_interval == 0:
             for ld in loaders:
                 self.store.put(_key(ld), ld.checkpoint())

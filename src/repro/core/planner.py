@@ -176,17 +176,16 @@ class Planner:
     # -- fault tolerance -----------------------------------------------------------
 
     def checkpoint(self) -> dict:
+        """Everything future plans depend on that is not configuration:
+        the next step to plan, the moving-average tracker and the
+        schedule's own state (a loss-adaptive EMA)."""
         return {
             "step": self.step,
-            "batch_size": self.batch_size,
-            "n_microbatches": self.n_microbatches,
-            "axis": self.axis,
             "tracker": self.tracker.checkpoint(),
+            "schedule": self.schedule.checkpoint(),
         }
 
     def restore(self, ckpt: dict) -> None:
         self.step = int(ckpt["step"])
-        self.batch_size = int(ckpt["batch_size"])
-        self.n_microbatches = int(ckpt["n_microbatches"])
-        self.axis = ckpt["axis"]
         self.tracker.restore(ckpt["tracker"])
+        self.schedule.restore(ckpt["schedule"])

@@ -39,6 +39,14 @@ class MixSchedule:
     def weights(self, step: int) -> np.ndarray:
         raise NotImplementedError
 
+    def checkpoint(self) -> dict:
+        """State that changes while training runs; none for a schedule
+        that is a function of the step alone."""
+        return {}
+
+    def restore(self, state: dict) -> None:
+        pass
+
     def sample_counts(self, step: int, batch_size: int, seed: int = 0) -> np.ndarray:
         """Deterministic largest-remainder apportionment of ``batch_size``
         samples to sources at this step — the per-step loading quota the
@@ -147,6 +155,12 @@ class LossAdaptiveSchedule(MixSchedule):
         if loss.shape != (self.n_sources,):
             raise ValueError("loss vector length mismatch")
         self._loss = self.ema * self._loss + (1 - self.ema) * loss
+
+    def checkpoint(self) -> dict:
+        return {"loss": self._loss.copy()}
+
+    def restore(self, state: dict) -> None:
+        self._loss = np.array(state["loss"], dtype=np.float64)
 
     def weights(self, step: int) -> np.ndarray:
         z = self._loss / max(self.temperature, 1e-9)

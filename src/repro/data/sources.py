@@ -18,17 +18,19 @@ so this module generates seed-deterministic synthetic equivalents whose
   the CDF shapes of Fig. 5 (latency spanning ~1 ms to ~10 s, file state
   spanning ~10 MB to ~2 GB).
 
-Sample generation runs *distributed*: rows are produced inside
-``mapInPandas`` from counter-based hashes of (seed, source, row index),
-so any partitioning of the work yields identical data — a requirement
-for the DuckDB oracle and for Source Loaders that re-read ranges after
-failures.
+Every row is a counter-based hash of (seed, source, row index), so a
+range of rows is the same whoever generates it and in whatever pieces —
+a requirement for the DuckDB oracle and for Source Loaders that re-read
+ranges after failures. One generator, :func:`generate_source_rows`,
+backs Source Loader reads, the Parquet sources, and the small Spark
+buffers E2 plans over (a local relation: the buffers are a few thousand
+rows, so Spark's work starts at planning, not at generation).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -174,7 +176,7 @@ def navit_100(seed: int = 17) -> list[SourceSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Sample generation (distributed, partition-invariant).
+# Sample generation (counter-based, identical in any pieces).
 # ---------------------------------------------------------------------------
 
 SAMPLE_SCHEMA = T.StructType(
@@ -200,10 +202,18 @@ def sample_payload_bytes(text_len: np.ndarray, image_patches: np.ndarray) -> np.
     )
 
 
-def _gen_columns(
-    spec: SourceSpec, idx: np.ndarray, seed: int, max_text_len: int
+def generate_source_rows(
+    spec: SourceSpec,
+    start: int,
+    count: int,
+    *,
+    seed: int = 0,
+    max_text_len: int = 1 << 20,
 ) -> pd.DataFrame:
-    """Materialise sample metadata for ``idx`` rows of one source."""
+    """Rows [start, start+count) of a source — the one generator behind
+    Spark buffers, Parquet sources and Source Loader reads and re-reads
+    (replay after failure), so samples are bit-identical whoever asks."""
+    idx = np.arange(start, start + count, dtype=np.int64)
     u_mix = hash_uniform(seed, spec.source_id * 4 + 0, idx)
     u_short = hash_uniform(seed, spec.source_id * 4 + 1, idx)
     u_tail = hash_uniform(seed, spec.source_id * 4 + 2, idx)
@@ -234,22 +244,6 @@ def _gen_columns(
     )
 
 
-def generate_source_rows(
-    spec: SourceSpec,
-    start: int,
-    count: int,
-    *,
-    seed: int = 0,
-    max_text_len: int = 1 << 20,
-) -> pd.DataFrame:
-    """Driver/executor-side generation of rows [start, start+count) of a
-    source — the same function backs both Spark generation and Source
-    Loader re-reads (replay after failure), guaranteeing bit-identical
-    samples regardless of who asks."""
-    idx = np.arange(start, start + count, dtype=np.int64)
-    return _gen_columns(spec, idx, seed, max_text_len)
-
-
 def generate_samples(
     spark: SparkSession,
     specs: Sequence[SourceSpec],
@@ -258,36 +252,16 @@ def generate_samples(
     seed: int = 0,
     max_text_len: int = 1 << 20,
 ) -> DataFrame:
-    """Distributed generation of ``rows_per_source`` samples per source.
-
-    Work is fanned out as (source_id, row_idx) pairs via ``spark.range``
-    and materialised in ``mapInPandas``; determinism comes from the
-    counter-based hash, not from partition layout.
-    """
-    by_id = {s.source_id: s for s in specs}
-    ids = sorted(by_id)
-    n_src = len(ids)
-    id_arr = np.array(ids, dtype=np.int64)
-
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            flat = pdf["id"].to_numpy()
-            src_pos = flat % n_src
-            row_idx = flat // n_src
-            out = []
-            for pos in np.unique(src_pos):
-                sid = int(id_arr[pos])
-                mask = src_pos == pos
-                out.append(
-                    _gen_columns(by_id[sid], row_idx[mask], seed, max_text_len)
-                )
-            yield pd.concat(out, ignore_index=True)
-
-    total = rows_per_source * n_src
-    n_parts = max(2, min(64, total // 5000 + 1))
-    return spark.range(0, total, numPartitions=n_parts).mapInPandas(
-        gen, schema=SAMPLE_SCHEMA
+    """Rows ``[0, rows_per_source)`` of every source as a Spark local
+    relation over :func:`generate_source_rows`."""
+    pdf = pd.concat(
+        [
+            generate_source_rows(s, 0, rows_per_source, seed=seed, max_text_len=max_text_len)
+            for s in specs
+        ],
+        ignore_index=True,
     )
+    return spark.createDataFrame(pdf, schema=SAMPLE_SCHEMA)
 
 
 def write_parquet_sources(

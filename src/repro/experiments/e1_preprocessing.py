@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.autoscaler import ResourcePool, auto_partition, total_cpu_demand
-from repro.data.sources import SourceSpec, navit_100, navit_lite, sample_payload_bytes
-from repro.data.sources import generate_source_rows
+from repro.data.sources import SourceSpec, generate_source_rows, navit_100, navit_lite
 from repro.sim.memsim import (
     ClusterConfig,
     avg_mem_per_node,
@@ -51,13 +50,7 @@ class E1Row:
 
 def _avg_sample_bytes(specs: list[SourceSpec]) -> float:
     probe = np.concatenate(
-        [
-            sample_payload_bytes(
-                generate_source_rows(s, 0, 64)["text_len"],
-                generate_source_rows(s, 0, 64)["image_patches"],
-            )
-            for s in specs[: min(32, len(specs))]
-        ]
+        [generate_source_rows(s, 0, 64)["sample_bytes"].to_numpy() for s in specs[:32]]
     )
     return float(probe.mean())
 

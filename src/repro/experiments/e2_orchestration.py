@@ -139,10 +139,10 @@ def run_grid(
 ) -> list[E2Cell]:
     """The Fig. 13 sweep (§7.1: per-GPU batch of 72; the §7.2 trainer
     geometry uses PP=4, whose 1F1B bubble the straggler microbatch
-    paces). Each (dataset, context length) buffer is built and cached
-    once and planned for all of its (backbone, encoder, strategy) cells;
-    cells are returned in (dataset, backbone, encoder, context length,
-    strategy) order."""
+    paces). Each (dataset, context length) buffer is built once, as a
+    local relation, and planned for all of its (backbone, encoder,
+    strategy) cells; cells are returned in (dataset, backbone, encoder,
+    context length, strategy) order."""
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategy {unknown[0]!r}")
@@ -154,27 +154,24 @@ def run_grid(
             buffer = build_buffer(
                 spark, specs, context_length=ctx, n_steps=n_steps,
                 batch_size=samples_per_gpu * dp, seed=seed,
-            ).cache()
-            try:
-                for bb, enc, st in product(backbones, encoders, strategies):
-                    bb_cfg, enc_cfg = BACKBONES[bb], ENCODERS[enc]
-                    routing = _routing(st, buffer, tree, bb_cfg, enc_cfg, n_microbatches)
-                    s = simulate(
-                        routing, bb_cfg, enc_cfg, context_length=ctx, n_ranks=dp,
-                        n_microbatches=n_microbatches, pp=pp,
-                    ).summary()
-                    cells[ds, bb, enc, ctx, st] = E2Cell(
-                        backbone=bb,
-                        encoder=enc,
-                        context_length=ctx,
-                        dataset=ds,
-                        strategy=st,
-                        throughput=s["throughput_tokens_per_s"],
-                        mean_iter_s=s["mean_iter_s"],
-                        tokens=s["tokens"],
-                    )
-            finally:
-                buffer.unpersist()
+            )
+            for bb, enc, st in product(backbones, encoders, strategies):
+                bb_cfg, enc_cfg = BACKBONES[bb], ENCODERS[enc]
+                routing = _routing(st, buffer, tree, bb_cfg, enc_cfg, n_microbatches)
+                s = simulate(
+                    routing, bb_cfg, enc_cfg, context_length=ctx, n_ranks=dp,
+                    n_microbatches=n_microbatches, pp=pp,
+                ).summary()
+                cells[ds, bb, enc, ctx, st] = E2Cell(
+                    backbone=bb,
+                    encoder=enc,
+                    context_length=ctx,
+                    dataset=ds,
+                    strategy=st,
+                    throughput=s["throughput_tokens_per_s"],
+                    mean_iter_s=s["mean_iter_s"],
+                    tokens=s["tokens"],
+                )
     return [
         cells[key]
         for key in product(datasets, backbones, encoders, context_lengths, strategies)

@@ -22,7 +22,7 @@ from repro.core.checkpoint import CheckpointStore, DifferentialCheckpointer, Sha
 from repro.core.placetree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
-from repro.data.mixture import ConstantSchedule
+from repro.data.mixture import StagedSchedule
 from repro.data.sources import coyo_lite
 from repro.sim.faultsim import FaultTrace, loader_failure_sim, planner_failure_sim
 
@@ -82,13 +82,18 @@ def delivered_stream(
     loader_interval: int = 4,
     kill_at: int = 0,
     kills: Sequence[tuple[int, str]] = (),
+    restart_planner: bool = False,
 ) -> pd.DataFrame:
     """Run the §3 loop of a real Planner over coyo loaders (``n_shards``
     Source-Parallel shards per source), with shadows synced and
     differential checkpoints taken every step, and return the delivered
-    ``(source_id, row_idx)`` stream. Before step ``kill_at`` each
+    ``(source_id, row_idx)`` stream. The mixture is uniform until step 3,
+    where the first source takes half the batch, so a step planned out
+    of turn changes the stream. Before step ``kill_at`` each
     ``(loader index, path)`` in ``kills`` is killed and recovered by its
-    path: a ``"shadow"`` promotion or a checkpoint ``"replay"``."""
+    path: a ``"shadow"`` promotion or a checkpoint ``"replay"``; with
+    ``restart_planner`` the Planner is replaced by a new one, over a new
+    schedule, restored from the latest planner record."""
     specs = coyo_lite()
     loaders = [
         SourceLoader(s, shard=k, n_shards=n_shards, seed=1, buffer_capacity=2048)
@@ -96,13 +101,16 @@ def delivered_stream(
         for k in range(n_shards)
     ]
     tree = ClientPlaceTree.from_degrees(dp=2)
-    sched = ConstantSchedule([1.0] * len(specs))
-    pl = Planner(loaders, tree, sched, batch_size=40, method=None)
+    stages = [(0, [1.0] * len(specs)), (3, [4.0] + [1.0] * (len(specs) - 1))]
+    pl = Planner(loaders, tree, StagedSchedule(stages), batch_size=40, method=None)
     shadows = [ShadowLoader(ld) for ld in loaders]
     ckpt = DifferentialCheckpointer(CheckpointStore(), loader_interval=loader_interval)
     stream = []
     for step in range(n_steps):
         if step == kill_at:
+            if restart_planner:
+                pl = Planner(pl.loaders, tree, StagedSchedule(stages), batch_size=40, method=None)
+                pl.restore(ckpt.recover_planner())
             for i, path in kills:
                 pl.loaders[i].fail()
                 if path == "shadow":

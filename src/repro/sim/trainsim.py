@@ -107,15 +107,32 @@ def simulate(
         raise ValueError("context_length, n_ranks, n_microbatches, pp must be positive")
     df = normalize_routing(plan_df)
     fused = (F.col("text_len") + F.col("image_patches")).cast("double")
+    patches = F.col("image_patches").cast("double")
+    zero = F.lit(0.0)
 
-    # backbone per (step, rank, mb): linear on packed+padded tokens,
-    # quadratic on per-subsequence fused lengths
-    llm = (
-        df.groupBy("step", F.col("llm_bucket").alias("rank"), F.col("llm_mb").alias("mb"))
-        .agg(
-            F.sum(fused).alias("tokens"),
-            F.sum(fused * fused).alias("sq_tokens"),
-        )
+    # each sample adds its backbone work at its llm slot and its encoder
+    # work at its enc slot, zeros elsewhere; one aggregation sums both.
+    # Both rows come from one pass over the routing table, so the plan
+    # that produced it runs once. The encoder's linear and attention
+    # terms are summed apart and added afterwards; one sum of both would
+    # round differently.
+    llm = F.struct(
+        F.col("llm_bucket").alias("rank"), F.col("llm_mb").alias("mb"),
+        fused.alias("tokens"), (fused * fused).alias("sq_tokens"),
+        zero.alias("enc_lin"), zero.alias("enc_att"),
+    )
+    enc = F.struct(
+        F.col("enc_bucket").alias("rank"), F.col("enc_mb").alias("mb"),
+        zero.alias("tokens"), zero.alias("sq_tokens"),
+        (F.lit(linear_coeff(encoder)) * patches).alias("enc_lin"),
+        (F.lit(attention_coeff(encoder)) * patches * patches).alias("enc_att"),
+    )
+    per_rank_mb = (
+        df.select("step", F.inline(F.array(llm, enc)))
+        .groupBy("step", "rank", "mb")
+        .agg(*(F.sum(c).alias(c) for c in ("tokens", "sq_tokens", "enc_lin", "enc_att")))
+        # backbone: linear on packed+padded tokens, quadratic on
+        # per-subsequence fused lengths
         .withColumn(
             "padded",
             (
@@ -132,24 +149,7 @@ def simulate(
             )
             / F.lit(gpu_flops),
         )
-        .select("step", "rank", "mb", "tokens", "llm_s")
-    )
-
-    patches = F.col("image_patches").cast("double")
-    enc = (
-        df.groupBy("step", F.col("enc_bucket").alias("rank"), F.col("enc_mb").alias("mb"))
-        .agg(
-            (
-                F.sum(F.lit(linear_coeff(encoder)) * patches)
-                + F.sum(F.lit(attention_coeff(encoder)) * patches * patches)
-            ).alias("enc_flops")
-        )
-        .withColumn("enc_s", F.col("enc_flops") / F.lit(gpu_flops))
-        .select("step", "rank", "mb", "enc_s")
-    )
-
-    per_rank_mb = llm.join(enc, on=["step", "rank", "mb"], how="full").fillna(
-        0.0, subset=["llm_s", "enc_s", "tokens"]
+        .withColumn("enc_s", (F.col("enc_lin") + F.col("enc_att")) / F.lit(gpu_flops))
     )
     # DP sync per microbatch: the slowest rank gates the microbatch
     per_mb = per_rank_mb.groupBy("step", "mb").agg(

@@ -111,9 +111,10 @@ class TestDifferential:
     def test_recover_planner(self):
         st = CheckpointStore()
         dc = DifferentialCheckpointer(st)
-        dc.on_step(0, {"mix": [0.5, 0.5]}, [])
+        # after delivering step 0 the Planner's own step is 1, the next to plan
+        dc.on_step(0, {"mix": [0.5, 0.5], "step": 1}, [])
         state = dc.recover_planner()
-        assert state["mix"] == [0.5, 0.5] and state["step"] == 0
+        assert state["mix"] == [0.5, 0.5] and state["step"] == 1
 
 
 class TestShadow:
@@ -192,23 +193,35 @@ def _uninterrupted(n_shards: int) -> pd.DataFrame:
     return delivered_stream(N_STEPS, n_shards=n_shards)
 
 
+class TestPlannerRestart:
+    def test_restored_planner_continues_stream(self):
+        """A Planner killed after step 2 and rebuilt from the planner
+        record plans step 3 next, with the mixture that switches there."""
+        got = delivered_stream(N_STEPS, kill_at=3, restart_planner=True)
+        pd.testing.assert_frame_equal(got, _uninterrupted(1))
+
+
 class TestExactlyOnce:
     """Whatever the failure step, killed set and recovery path of each
-    killed loader, the delivered stream equals an uninterrupted run's."""
+    killed loader, and whether the Planner is restarted too, the
+    delivered stream equals an uninterrupted run's."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         n_shards=st.sampled_from([1, 2]),
         loader_interval=st.integers(1, 4),
         kill_at=st.integers(1, N_STEPS - 1),  # >= 1: a loader checkpoint exists
+        restart_planner=st.booleans(),
         data=st.data(),
     )
-    def test_stream_equals_uninterrupted(self, n_shards, loader_interval, kill_at, data):
+    def test_stream_equals_uninterrupted(
+        self, n_shards, loader_interval, kill_at, restart_planner, data
+    ):
         kills = data.draw(
             st.dictionaries(
                 st.integers(0, 5 * n_shards - 1),  # 5 coyo sources x n_shards
                 st.sampled_from(RECOVERY_PATHS),
-                min_size=1,
+                min_size=0 if restart_planner else 1,
             ),
             label="kills",
         )
@@ -218,6 +231,7 @@ class TestExactlyOnce:
             loader_interval=loader_interval,
             kill_at=kill_at,
             kills=list(kills.items()),
+            restart_planner=restart_planner,
         )
         assert not got.duplicated().any()
         pd.testing.assert_frame_equal(got, _uninterrupted(n_shards))

@@ -122,6 +122,31 @@ class TestGridAndSpeedups:
         assert len(sc.statusTracker().getJobIdsForGroup("unknown-strategy")) == 0
 
 
+class TestPinned:
+    def test_column_values_pinned(self, spark):
+        """The (llama-12b, vit-2b, 8k, coyo700m) column at the default
+        Fig. 13 geometry keeps the values it had when the buffer was
+        generated by a distributed fan-out, cached, and each routing
+        table aggregated twice and joined."""
+        cells = run_grid(
+            spark,
+            backbones=("llama-12b",),
+            encoders=("vit-2b",),
+            context_lengths=(8192,),
+            datasets=("coyo700m",),
+        )
+        pinned = {
+            "vanilla": (2063.7655900408186, 226.614238033408),
+            "backbone": (3263.9483357358904, 143.286173235712),
+            "hybrid": (3272.9879068698992, 142.890435276288),
+        }
+        for c in cells:
+            throughput, mean_iter_s = pinned[c.strategy]
+            assert c.throughput == pytest.approx(throughput, rel=1e-12)
+            assert c.mean_iter_s == pytest.approx(mean_iter_s, rel=1e-12)
+            assert c.tokens == 1403036.0
+
+
 class TestNavit:
     def test_navit_also_gains(self, spark):
         cells = []

@@ -137,6 +137,16 @@ class TestLossAdaptive:
         with pytest.raises(ValueError):
             s.update([1.0, 2.0])
 
+    def test_checkpoint_restores_ema(self):
+        s = LossAdaptiveSchedule(n_sources=3, ema=0.5)
+        s.update([3.0, 1.0, 2.0])
+        ck, want = s.checkpoint(), s.weights(0)
+        s.update([9.0, 9.0, 1.0])  # the checkpoint must not follow
+        fresh = LossAdaptiveSchedule(n_sources=3, ema=0.5)
+        fresh.restore(ck)
+        assert np.array_equal(fresh.weights(0), want)
+        assert not np.allclose(want, 1 / 3)
+
 
 class TestMovingAverageTracker:
     def test_average(self):

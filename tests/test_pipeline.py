@@ -16,7 +16,7 @@ from repro.core.dgraph import DGraph, LoadingPlan, with_sample_id
 from repro.core.placetree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
-from repro.data.mixture import ConstantSchedule, StagedSchedule
+from repro.data.mixture import ConstantSchedule, LossAdaptiveSchedule, StagedSchedule
 from repro.data.sources import coyo_lite, generate_samples, write_parquet_sources
 from repro.oracle import assert_equivalent
 from repro.sim.models import BACKBONES
@@ -196,6 +196,32 @@ class TestPlannerWorkflow:
         restored = planner()
         restored.restore(ck)
         assert run(restored, 7) == ref[5:]
+
+    def test_restore_keeps_loss_adaptive_mixture(self):
+        """A Planner restored mid-run over a freshly built loss-adaptive
+        schedule plans the next step as one that never stopped: the
+        schedule's loss EMA is in the checkpoint."""
+        losses = [[3.0, 1.0, 1.0, 2.0, 1.0], [4.0, 1.0, 0.5, 2.0, 1.0]]
+
+        def planner(loaders):
+            sched = LossAdaptiveSchedule(n_sources=len(SPECS), ema=0.5)
+            return Planner(loaders, ClientPlaceTree.from_degrees(dp=2), sched, batch_size=40)
+
+        def run(pl, n_steps):
+            plans = []
+            for step in range(n_steps):
+                pl.ensure_buffered(60)
+                plans.append(pl.plan_step().assignments)
+                pl.schedule.update(losses[step % len(losses)])
+            return plans
+
+        ref = run(planner(self._loaders()), 3)
+        live = planner(self._loaders())
+        run(live, 2)
+        restored = planner(live.loaders)
+        restored.restore(live.checkpoint())
+        restored.ensure_buffered(60)
+        pd.testing.assert_frame_equal(restored.plan_step().assignments, ref[-1])
 
     def test_plan_freed_once_dropped(self):
         """The Planner keeps no reference to the plans it returns."""

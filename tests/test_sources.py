@@ -106,6 +106,14 @@ class TestGeneration:
             df.reset_index(drop=True), expect, check_dtype=False
         )
 
+    def test_spark_generation_is_local_relation(self, spark):
+        """The Spark frame is the driver generator's rows as a local
+        relation: no distributed generation step."""
+        df = S.generate_samples(spark, S.coyo_lite(), rows_per_source=10)
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        assert "LocalTableScan" in plan
+        assert "MapInPandas" not in plan
+
     def test_skew_matches_fig2(self, spark):
         # coyo: ~98% of samples <= 64 text tokens, tail holds >= ~5% of tokens
         specs = S.coyo_lite()

@@ -128,6 +128,16 @@ class TestSimulate:
         b = simulate(bal.assignments, LLAMA, VIT, context_length=CTX, n_ranks=4, n_microbatches=2).summary()
         assert a["tokens"] == pytest.approx(b["tokens"])
 
+    def test_one_pass_no_join(self, buffer_df):
+        """The routing table is read once, so the planning pass behind it
+        runs once, and backbone and encoder work are summed per (step,
+        rank, mb) in one aggregation, not joined."""
+        routing = vlm_hybrid_balance(buffer_df, TREE, LLAMA, VIT, n_microbatches=2)
+        sim = simulate(routing, LLAMA, VIT, context_length=CTX, n_ranks=4, n_microbatches=2)
+        plan = sim.df._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("FlatMapGroupsInPandas") == 1
+        assert "Join" not in plan
+
     def test_oracle_iteration_time(self, spark, buffer_df):
         """Verify the whole Spark aggregation against DuckDB SQL."""
         from repro.sim.models import attention_coeff, linear_coeff
