@@ -64,17 +64,17 @@ def _sampled(
     return g.mix(schedule, batch_size)
 
 
-def _llm_graph(
+def llm_graph(
     buffer_df: DataFrame,
     tree: ClientPlaceTree,
     backbone: ModelConfig,
-    schedule: MixSchedule | None,
-    batch_size: int | None,
-    n_microbatches: int,
-    method: str,
+    schedule: MixSchedule | None = None,
+    batch_size: int | None = None,
+    n_microbatches: int = 1,
+    method: str = "karmarkar_karp",
     intra_reorder: bool = True,
 ) -> DGraph:
-    """The backbone graph shared by ``llm_balance`` and the hybrid."""
+    """The backbone graph shared by ``llm_balance``, the hybrid and E2."""
     return (
         _sampled(buffer_df, schedule, batch_size)
         .distribute("DP", tree, n_microbatches=n_microbatches)
@@ -97,7 +97,7 @@ def llm_balance(
 ) -> LoadingPlan:
     """Fig. 9's unimodal strategy: distribute along DP, cost by fused
     token count, balance inter-microbatch, broadcast at TP."""
-    g = _llm_graph(
+    g = llm_graph(
         buffer_df, tree, backbone, schedule, batch_size, n_microbatches, method,
         intra_reorder,
     )
@@ -121,6 +121,32 @@ def vanilla_plan(
     return g.distribute(axis, tree, n_microbatches=n_microbatches).plan()
 
 
+def hybrid_step(
+    graph: DGraph, tree: ClientPlaceTree, encoder: ModelConfig, n_microbatches: int,
+    method: str = "karmarkar_karp",
+) -> Callable[[pd.DataFrame], pd.DataFrame]:
+    """The hybrid's step over one backbone step's output: an image graph,
+    a sibling of ``graph`` distributed world-wide and balanced by encoder
+    cost, plans exactly the samples that step admitted, and the two plans
+    are joined per ``sample_id`` as ``llm_*`` and ``enc_*`` columns."""
+    plan_enc = (
+        graph.select_modality(["image_patches"])
+        .distribute(AXIS_WORLD, tree, n_microbatches=n_microbatches)
+        .cost(encoder_cost_fn(encoder))
+        .balance(method)
+        .step_planner()
+    )
+    plan_cols = [f.name for f in PLAN_FIELDS]
+
+    def step(llm: pd.DataFrame) -> pd.DataFrame:
+        enc = plan_enc(llm[[*BUFFER_KEY_COLS, "image_patches"]])[["sample_id", *plan_cols]]
+        return llm.rename(columns={c: f"llm_{c}" for c in plan_cols}).merge(
+            enc.rename(columns={c: f"enc_{c}" for c in plan_cols}), on="sample_id"
+        )
+
+    return step
+
+
 def vlm_hybrid_balance(
     buffer_df: DataFrame,
     tree: ClientPlaceTree,
@@ -136,26 +162,14 @@ def vlm_hybrid_balance(
     backbone and images for the encoder in one per-step plan, returning
     the routing table (sample keys, metadata, llm_cost/llm_bucket/llm_mb,
     enc_cost/enc_bucket/enc_mb)."""
-    text = _llm_graph(
+    text = llm_graph(
         buffer_df, tree, backbone, schedule, batch_size, n_microbatches, method
     )
-    image = (
-        text.select_modality(["image_patches"])
-        .distribute(AXIS_WORLD, tree, n_microbatches=n_microbatches)
-        .cost(encoder_cost_fn(encoder))
-        .balance(method)
-    )
-    plan_llm, plan_enc = text.step_planner(), image.step_planner()
-    image_cols = [*BUFFER_KEY_COLS, *image.fields]
-    plan_cols = [f.name for f in PLAN_FIELDS]
+    plan_llm = text.step_planner()
+    plan_hybrid = hybrid_step(text, tree, encoder, n_microbatches, method)
 
     def run_step(pdf: pd.DataFrame) -> pd.DataFrame:
-        llm = plan_llm(pdf)
-        # the image graph sees exactly the samples the backbone step admitted
-        enc = plan_enc(llm[image_cols])[["sample_id", *plan_cols]]
-        return llm.rename(columns={c: f"llm_{c}" for c in plan_cols}).merge(
-            enc.rename(columns={c: f"enc_{c}" for c in plan_cols}), on="sample_id"
-        )
+        return plan_hybrid(plan_llm(pdf))
 
     keep = [*BUFFER_KEY_COLS, *text.fields]
     schema = T.StructType(

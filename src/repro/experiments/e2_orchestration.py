@@ -6,7 +6,8 @@ For a (backbone, encoder, context length, dataset, strategy) cell:
    cropping samples to the context budget (half for images, the rest
    for text — the framework's crop transform); one buffer serves every
    cell of a (dataset, context length);
-2. plan every step with the requested strategy — Vanilla (round-robin
+2. plan every step with the requested strategy, each distinct routing
+   table of a buffer once, all in one pass — Vanilla (round-robin
    arrival), Backbone balance (LLM-cost Karmarkar–Karp across DP ranks,
    encoder follows), or Hybrid balance (backbone + world-wide image
    balancing, Fig. 9's VLM strategy);
@@ -24,15 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.dgraph import with_sample_id
+from repro.core.dgraph import BUFFER_KEY_COLS, DGraph, with_sample_id
 from repro.core.placetree import ClientPlaceTree
-from repro.core.primitives import llm_balance, vanilla_plan, vlm_hybrid_balance
+from repro.core.primitives import hybrid_step, llm_graph
 from repro.data.sources import SourceSpec, coyo_lite, generate_samples, navit_lite
-from repro.sim.models import BACKBONES, ENCODERS, ModelConfig
-from repro.sim.trainsim import simulate
+from repro.sim.models import BACKBONES, ENCODERS
+from repro.sim.trainsim import ROUTING_COLS, slot_sums, step_times
 
 STRATEGIES = ("vanilla", "backbone", "hybrid")
 
@@ -83,20 +85,56 @@ def build_buffer(
     return df
 
 
-def _routing(
-    strategy: str,
+def plan_routings(
     buffer: DataFrame,
     tree: ClientPlaceTree,
-    bb: ModelConfig,
-    enc: ModelConfig,
+    backbones: tuple[str, ...],
+    encoders: tuple[str, ...],
+    strategies: tuple[str, ...],
     n_microbatches: int,
-) -> DataFrame:
-    """The routing table ``strategy`` plans over ``buffer``."""
-    if strategy == "vanilla":
-        return vanilla_plan(buffer, tree, n_microbatches=n_microbatches).assignments
-    if strategy == "backbone":
-        return llm_balance(buffer, tree, bb, n_microbatches=n_microbatches).assignments
-    return vlm_hybrid_balance(buffer, tree, bb, enc, n_microbatches=n_microbatches)
+) -> tuple[DataFrame, dict[tuple[str, str, str], int]]:
+    """Every distinct routing table of the (backbone, encoder, strategy)
+    cells, planned in one ``groupBy("step").applyInPandas`` over
+    ``buffer``: vanilla once, backbone once per backbone, hybrid once per
+    (backbone, encoder) over that backbone's step. Returns the rows
+    (``ROUTING_COLS`` + ``plan_id``) and each cell's ``plan_id``."""
+    # vanilla depends on neither model, backbone on the backbone only
+    plans = {
+        (bb, enc, st): (st, None if st == "vanilla" else bb, enc if st == "hybrid" else None)
+        for bb, enc, st in product(backbones, encoders, strategies)
+    }
+    plan_ids = {plan: i for i, plan in enumerate(dict.fromkeys(plans.values()))}
+    base = DGraph.from_buffer(buffer, fields=["text_len", "image_patches"])
+    base = base.distribute("DP", tree, n_microbatches=n_microbatches)
+    plan_vanilla = base.step_planner()
+    plan_llm = {
+        bb: llm_graph(buffer, tree, BACKBONES[bb], n_microbatches=n_microbatches).step_planner()
+        for _, bb, _ in plan_ids if bb is not None
+    }
+    plan_hybrid = {
+        enc: hybrid_step(base, tree, ENCODERS[enc], n_microbatches)
+        for _, _, enc in plan_ids if enc is not None
+    }
+
+    def run_step(pdf: pd.DataFrame) -> pd.DataFrame:
+        llm = {bb: plan(pdf) for bb, plan in plan_llm.items()}
+        out = []
+        for (st, bb, enc), plan_id in plan_ids.items():
+            if st == "hybrid":
+                routing = plan_hybrid[enc](llm[bb])
+            else:  # a single plan routes the encoder with the backbone
+                plan = llm[bb] if st == "backbone" else plan_vanilla(pdf)
+                routing = plan.assign(
+                    llm_bucket=plan["bucket"], llm_mb=plan["mb"],
+                    enc_bucket=plan["bucket"], enc_mb=plan["mb"],
+                )
+            out.append(routing[list(ROUTING_COLS)].assign(plan_id=plan_id))
+        return pd.concat(out, ignore_index=True)
+
+    schema = ", ".join(f"{c} int" for c in (*ROUTING_COLS, "plan_id"))
+    grouped = buffer.select(*BUFFER_KEY_COLS, *base.fields).groupBy("step")
+    cell_ids = {cell: plan_ids[plan] for cell, plan in plans.items()}
+    return grouped.applyInPandas(run_step, schema), cell_ids
 
 
 def run_cell(
@@ -155,12 +193,14 @@ def run_grid(
                 spark, specs, context_length=ctx, n_steps=n_steps,
                 batch_size=samples_per_gpu * dp, seed=seed,
             )
-            for bb, enc, st in product(backbones, encoders, strategies):
-                bb_cfg, enc_cfg = BACKBONES[bb], ENCODERS[enc]
-                routing = _routing(st, buffer, tree, bb_cfg, enc_cfg, n_microbatches)
-                s = simulate(
-                    routing, bb_cfg, enc_cfg, context_length=ctx, n_ranks=dp,
-                    n_microbatches=n_microbatches, pp=pp,
+            routing, plan_ids = plan_routings(
+                buffer, tree, backbones, encoders, strategies, n_microbatches
+            )
+            sums = slot_sums(routing).toPandas()
+            for (bb, enc, st), plan_id in plan_ids.items():
+                s = step_times(
+                    sums[sums["plan_id"] == plan_id], BACKBONES[bb], ENCODERS[enc],
+                    context_length=ctx, pp=pp,
                 ).summary()
                 cells[ds, bb, enc, ctx, st] = E2Cell(
                     backbone=bb,

@@ -14,15 +14,17 @@ proves no sample is lost or duplicated).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
+import numpy as np
 import pandas as pd
 
 from repro.core.checkpoint import CheckpointStore, DifferentialCheckpointer, ShadowLoader
 from repro.core.placetree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
-from repro.data.mixture import StagedSchedule
+from repro.data.mixture import LossAdaptiveSchedule, StagedSchedule
 from repro.data.sources import coyo_lite
 from repro.sim.faultsim import FaultTrace, loader_failure_sim, planner_failure_sim
 
@@ -83,6 +85,7 @@ def delivered_stream(
     kill_at: int = 0,
     kills: Sequence[tuple[int, str]] = (),
     restart_planner: bool = False,
+    loss_adaptive: bool = False,
 ) -> pd.DataFrame:
     """Run the §3 loop of a real Planner over coyo loaders (``n_shards``
     Source-Parallel shards per source), with shadows synced and
@@ -93,7 +96,10 @@ def delivered_stream(
     ``(loader index, path)`` in ``kills`` is killed and recovered by its
     path: a ``"shadow"`` promotion or a checkpoint ``"replay"``; with
     ``restart_planner`` the Planner is replaced by a new one, over a new
-    schedule, restored from the latest planner record."""
+    schedule, restored from the latest planner record. With
+    ``loss_adaptive`` the mixture is a ``LossAdaptiveSchedule`` instead,
+    updated after every step with a loss vector that peaks at source
+    ``step % n_sources``."""
     specs = coyo_lite()
     loaders = [
         SourceLoader(s, shard=k, n_shards=n_shards, seed=1, buffer_capacity=2048)
@@ -101,15 +107,19 @@ def delivered_stream(
         for k in range(n_shards)
     ]
     tree = ClientPlaceTree.from_degrees(dp=2)
-    stages = [(0, [1.0] * len(specs)), (3, [4.0] + [1.0] * (len(specs) - 1))]
-    pl = Planner(loaders, tree, StagedSchedule(stages), batch_size=40, method=None)
+    n = len(specs)
+    stages = [(0, [1.0] * n), (3, [4.0] + [1.0] * (n - 1))]
+    schedule = partial(StagedSchedule, stages)
+    if loss_adaptive:
+        schedule = partial(LossAdaptiveSchedule, n)
+    pl = Planner(loaders, tree, schedule(), batch_size=40, method=None)
     shadows = [ShadowLoader(ld) for ld in loaders]
     ckpt = DifferentialCheckpointer(CheckpointStore(), loader_interval=loader_interval)
     stream = []
     for step in range(n_steps):
         if step == kill_at:
             if restart_planner:
-                pl = Planner(pl.loaders, tree, StagedSchedule(stages), batch_size=40, method=None)
+                pl = Planner(pl.loaders, tree, schedule(), batch_size=40, method=None)
                 pl.restore(ckpt.recover_planner())
             for i, path in kills:
                 pl.loaders[i].fail()
@@ -121,6 +131,8 @@ def delivered_stream(
                     raise ValueError(f"unknown recovery path {path!r}")
         pl.ensure_buffered(60)
         stream.append(pl.plan_step().assignments[["source_id", "row_idx"]])
+        if loss_adaptive:
+            pl.schedule.update(1.0 + 2.0 * (np.arange(n) == step % n))
         for sh in shadows:
             sh.sync()
         ckpt.on_step(step, pl.checkpoint(), pl.loaders)

@@ -21,13 +21,18 @@ synchronous-training execution model of §2.3:
   over pipeline stages". ``pp=1`` disables it.
 - Throughput = batch tokens / iteration time.
 
-Everything is Spark SQL aggregation over the routing table (the
-quantities are plain sums/maxes), so the oracle can verify it.
+``slot_sums`` is the Spark aggregation: exact integer sums per (plan,
+step, rank, mb) over routing tables tagged with a ``plan_id``, one pass
+for all of a buffer's plans. ``step_times`` finishes one plan's sums
+with one (backbone, encoder) pair's coefficients in pandas; the DuckDB
+oracle checks the formula.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -49,22 +54,17 @@ ROUTING_COLS = (
 class StepTimes:
     """Aggregated simulation result over all steps."""
 
-    df: DataFrame  # (step, iter_time_s, tokens)
+    df: pd.DataFrame  # (step, iter_time_s, tokens)
 
     def summary(self) -> dict[str, float]:
-        row = self.df.agg(
-            F.sum("tokens").alias("tokens"),
-            F.sum("iter_time_s").alias("time_s"),
-            F.avg("iter_time_s").alias("mean_iter_s"),
-            F.max("iter_time_s").alias("max_iter_s"),
-        ).collect()[0]
-        time_s = float(row["time_s"]) or 1e-12
+        it = self.df["iter_time_s"]
+        tokens, time_s = float(self.df["tokens"].sum()), float(it.sum())
         return {
-            "tokens": float(row["tokens"]),
+            "tokens": tokens,
             "time_s": time_s,
-            "mean_iter_s": float(row["mean_iter_s"]),
-            "max_iter_s": float(row["max_iter_s"]),
-            "throughput_tokens_per_s": float(row["tokens"]) / time_s,
+            "mean_iter_s": float(it.mean()) if len(it) else 0.0,
+            "max_iter_s": float(it.max()) if len(it) else 0.0,
+            "throughput_tokens_per_s": tokens / time_s if time_s else 0.0,
         }
 
 
@@ -90,6 +90,69 @@ def normalize_routing(plan_df: DataFrame) -> DataFrame:
     return df.select(*ROUTING_COLS)
 
 
+def slot_sums(routing: DataFrame) -> DataFrame:
+    """Per (plan_id, step, rank, mb) of routing tables with ``plan_id``
+    and ``ROUTING_COLS``: fused tokens and their squares summed at each
+    sample's (llm_bucket, llm_mb), image patches and their squares at its
+    (enc_bucket, enc_mb), as longs. Integer sums are exact in doubles, so
+    no result depends on the stage layout or on the other plans."""
+    zero = F.lit(0).cast("long")
+    # one row per sample and module from one read of the routing table,
+    # so the planning pass behind it runs once
+    llm = F.struct(
+        F.col("llm_bucket").alias("rank"), F.col("llm_mb").alias("mb"),
+        (F.col("text_len").cast("long") + F.col("image_patches")).alias("tokens"),
+        zero.alias("patches"),
+    )
+    enc = F.struct(
+        F.col("enc_bucket").alias("rank"), F.col("enc_mb").alias("mb"),
+        zero.alias("tokens"), F.col("image_patches").cast("long").alias("patches"),
+    )
+    return (
+        routing.select("plan_id", "step", F.inline(F.array(llm, enc)))
+        .groupBy("plan_id", "step", "rank", "mb")
+        .agg(
+            *(F.sum(c).alias(c) for c in ("tokens", "patches")),
+            *(F.sum(F.col(c) * F.col(c)).alias(f"sq_{c}") for c in ("tokens", "patches")),
+        )
+    )
+
+
+def step_times(
+    sums: pd.DataFrame,
+    backbone: ModelConfig,
+    encoder: ModelConfig,
+    *,
+    context_length: int,
+    gpu_flops: float = GPU_FLOPS,
+    count_padding: bool = False,
+    pp: int = 1,
+) -> StepTimes:
+    """Iteration times of one plan from its ``slot_sums`` rows."""
+    if context_length <= 0 or pp <= 0:
+        raise ValueError("context_length and pp must be positive")
+    tokens, sq_tokens, patches, sq_patches = (
+        sums[c].to_numpy(np.float64) for c in ("tokens", "sq_tokens", "patches", "sq_patches")
+    )
+    # backbone: linear on packed+padded tokens, quadratic on
+    # per-subsequence fused lengths
+    padded = (np.ceil(tokens / context_length) * context_length - tokens) * float(count_padding)
+    llm_s = (
+        linear_coeff(backbone) * (tokens + padded) + attention_coeff(backbone) * sq_tokens
+    ) / gpu_flops
+    enc_s = (linear_coeff(encoder) * patches + attention_coeff(encoder) * sq_patches) / gpu_flops
+    slots = pd.DataFrame(
+        {"step": sums["step"], "mb": sums["mb"], "t": llm_s + enc_s, "tokens": tokens}
+    )
+    # DP sync per microbatch: the slowest rank gates the microbatch
+    per_mb = slots.groupby(["step", "mb"]).agg(t=("t", "max"), tokens=("tokens", "sum"))
+    steps = per_mb.groupby(level="step")
+    iter_time_s = steps["t"].sum() + float(pp - 1) * steps["t"].max()
+    return StepTimes(
+        pd.DataFrame({"iter_time_s": iter_time_s, "tokens": steps["tokens"].sum()}).reset_index()
+    )
+
+
 def simulate(
     plan_df: DataFrame,
     backbone: ModelConfig,
@@ -105,61 +168,8 @@ def simulate(
     """Iteration times for a routing table (all steps it contains)."""
     if context_length <= 0 or n_ranks <= 0 or n_microbatches <= 0 or pp <= 0:
         raise ValueError("context_length, n_ranks, n_microbatches, pp must be positive")
-    df = normalize_routing(plan_df)
-    fused = (F.col("text_len") + F.col("image_patches")).cast("double")
-    patches = F.col("image_patches").cast("double")
-    zero = F.lit(0.0)
-
-    # each sample adds its backbone work at its llm slot and its encoder
-    # work at its enc slot, zeros elsewhere; one aggregation sums both.
-    # Both rows come from one pass over the routing table, so the plan
-    # that produced it runs once. The encoder's linear and attention
-    # terms are summed apart and added afterwards; one sum of both would
-    # round differently.
-    llm = F.struct(
-        F.col("llm_bucket").alias("rank"), F.col("llm_mb").alias("mb"),
-        fused.alias("tokens"), (fused * fused).alias("sq_tokens"),
-        zero.alias("enc_lin"), zero.alias("enc_att"),
+    routing = normalize_routing(plan_df).withColumn("plan_id", F.lit(0))
+    return step_times(
+        slot_sums(routing).toPandas(), backbone, encoder, context_length=context_length,
+        gpu_flops=gpu_flops, count_padding=count_padding, pp=pp,
     )
-    enc = F.struct(
-        F.col("enc_bucket").alias("rank"), F.col("enc_mb").alias("mb"),
-        zero.alias("tokens"), zero.alias("sq_tokens"),
-        (F.lit(linear_coeff(encoder)) * patches).alias("enc_lin"),
-        (F.lit(attention_coeff(encoder)) * patches * patches).alias("enc_att"),
-    )
-    per_rank_mb = (
-        df.select("step", F.inline(F.array(llm, enc)))
-        .groupBy("step", "rank", "mb")
-        .agg(*(F.sum(c).alias(c) for c in ("tokens", "sq_tokens", "enc_lin", "enc_att")))
-        # backbone: linear on packed+padded tokens, quadratic on
-        # per-subsequence fused lengths
-        .withColumn(
-            "padded",
-            (
-                F.ceil(F.col("tokens") / F.lit(context_length)) * context_length
-                - F.col("tokens")
-            )
-            * F.lit(1.0 if count_padding else 0.0),
-        )
-        .withColumn(
-            "llm_s",
-            (
-                F.lit(linear_coeff(backbone)) * (F.col("tokens") + F.col("padded"))
-                + F.lit(attention_coeff(backbone)) * F.col("sq_tokens")
-            )
-            / F.lit(gpu_flops),
-        )
-        .withColumn("enc_s", (F.col("enc_lin") + F.col("enc_att")) / F.lit(gpu_flops))
-    )
-    # DP sync per microbatch: the slowest rank gates the microbatch
-    per_mb = per_rank_mb.groupBy("step", "mb").agg(
-        F.max(F.col("llm_s") + F.col("enc_s")).alias("mb_time_s"),
-        F.sum("tokens").alias("tokens"),
-    )
-    per_step = per_mb.groupBy("step").agg(
-        (
-            F.sum("mb_time_s") + F.lit(float(pp - 1)) * F.max("mb_time_s")
-        ).alias("iter_time_s"),
-        F.sum("tokens").alias("tokens"),
-    )
-    return StepTimes(per_step)

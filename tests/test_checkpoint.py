@@ -189,8 +189,8 @@ N_STEPS = 6
 
 
 @functools.cache
-def _uninterrupted(n_shards: int) -> pd.DataFrame:
-    return delivered_stream(N_STEPS, n_shards=n_shards)
+def _uninterrupted(n_shards: int, loss_adaptive: bool = False) -> pd.DataFrame:
+    return delivered_stream(N_STEPS, n_shards=n_shards, loss_adaptive=loss_adaptive)
 
 
 class TestPlannerRestart:
@@ -203,8 +203,9 @@ class TestPlannerRestart:
 
 class TestExactlyOnce:
     """Whatever the failure step, killed set and recovery path of each
-    killed loader, and whether the Planner is restarted too, the
-    delivered stream equals an uninterrupted run's."""
+    killed loader, the mixture (staged or loss-adaptive), and whether the
+    Planner is restarted too, the delivered stream equals an
+    uninterrupted run's."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -212,10 +213,11 @@ class TestExactlyOnce:
         loader_interval=st.integers(1, 4),
         kill_at=st.integers(1, N_STEPS - 1),  # >= 1: a loader checkpoint exists
         restart_planner=st.booleans(),
+        loss_adaptive=st.booleans(),
         data=st.data(),
     )
     def test_stream_equals_uninterrupted(
-        self, n_shards, loader_interval, kill_at, restart_planner, data
+        self, n_shards, loader_interval, kill_at, restart_planner, loss_adaptive, data
     ):
         kills = data.draw(
             st.dictionaries(
@@ -232,6 +234,7 @@ class TestExactlyOnce:
             kill_at=kill_at,
             kills=list(kills.items()),
             restart_planner=restart_planner,
+            loss_adaptive=loss_adaptive,
         )
         assert not got.duplicated().any()
-        pd.testing.assert_frame_equal(got, _uninterrupted(n_shards))
+        pd.testing.assert_frame_equal(got, _uninterrupted(n_shards, loss_adaptive))

@@ -1,7 +1,20 @@
 """E2 shape tests (Fig. 13): balancing wins, gains grow with context."""
+import pandas as pd
 import pytest
 
-from repro.experiments.e2_orchestration import E2Cell, run_cell, run_grid, speedups
+from repro.core.placetree import ClientPlaceTree
+from repro.core.primitives import llm_balance, vanilla_plan, vlm_hybrid_balance
+from repro.data.sources import coyo_lite
+from repro.experiments.e2_orchestration import (
+    E2Cell,
+    build_buffer,
+    plan_routings,
+    run_cell,
+    run_grid,
+    speedups,
+)
+from repro.sim.models import BACKBONES, ENCODERS
+from repro.sim.trainsim import ROUTING_COLS, normalize_routing, slot_sums
 
 FAST = dict(dp=4, n_microbatches=4, samples_per_gpu=48, n_steps=2)
 
@@ -145,6 +158,101 @@ class TestPinned:
             assert c.throughput == pytest.approx(throughput, rel=1e-12)
             assert c.mean_iter_s == pytest.approx(mean_iter_s, rel=1e-12)
             assert c.tokens == 1403036.0
+
+
+class TestOnePass:
+    """Each (dataset, context) buffer is planned for all of its cells in
+    one pass and simulated from one aggregation."""
+
+    GRID = dict(
+        backbones=("llama-12b", "tmoe-25b"),
+        encoders=("vit-1b", "vit-2b"),
+        context_lengths=(8192,),
+        datasets=("coyo700m",),
+        **FAST,
+    )
+
+    @pytest.fixture(scope="class")
+    def planned(self, spark):
+        buffer = build_buffer(
+            spark, coyo_lite(), context_length=8192, n_steps=2, batch_size=4 * 48
+        )
+        tree = ClientPlaceTree.from_degrees(dp=4)
+        g = self.GRID
+        routing, plan_ids = plan_routings(
+            buffer, tree, g["backbones"], g["encoders"], ("vanilla", "backbone", "hybrid"), 4
+        )
+        return buffer, tree, routing, plan_ids
+
+    def test_distinct_plans_only(self, planned):
+        """Vanilla once, backbone once per backbone, hybrid once per
+        (backbone, encoder): 1 + 2 + 4 plans for 12 cells."""
+        _, _, routing, plan_ids = planned
+        assert len(plan_ids) == 12
+        assert sorted(set(plan_ids.values())) == list(range(7))
+        assert len({plan_ids[bb, enc, "vanilla"] for bb, enc, _ in plan_ids}) == 1
+        for bb in self.GRID["backbones"]:
+            assert plan_ids[bb, "vit-1b", "backbone"] == plan_ids[bb, "vit-2b", "backbone"]
+        assert {r.plan_id for r in routing.select("plan_id").distinct().collect()} == set(
+            range(7)
+        )
+
+    def test_plans_match_strategies(self, planned):
+        """Each plan's rows are the routing table its strategy function
+        plans over the same buffer."""
+        buffer, tree, routing, plan_ids = planned
+        got = routing.toPandas()
+        cols = list(ROUTING_COLS)
+        for (bb, enc, st), plan_id in plan_ids.items():
+            if st == "vanilla":
+                want = vanilla_plan(buffer, tree, n_microbatches=4).assignments
+            elif st == "backbone":
+                want = llm_balance(buffer, tree, BACKBONES[bb], n_microbatches=4).assignments
+            else:
+                want = vlm_hybrid_balance(
+                    buffer, tree, BACKBONES[bb], ENCODERS[enc], n_microbatches=4
+                )
+            pd.testing.assert_frame_equal(
+                got[got["plan_id"] == plan_id][cols].sort_values(cols).reset_index(drop=True),
+                normalize_routing(want).toPandas()[cols].sort_values(cols).reset_index(drop=True),
+            )
+
+    def test_one_planning_pass_no_join(self, planned):
+        plan = slot_sums(planned[2])._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("FlatMapGroupsInPandas") == 1
+        assert "Join" not in plan
+
+    def test_three_jobs_per_column(self, spark):
+        """Planning, aggregation and the collect of one buffer's sums:
+        one E2 column (3 cells) runs 3 Spark jobs."""
+        sc = spark.sparkContext
+        sc.setJobGroup("e2-column", "e2-column")
+        try:
+            run_grid(
+                spark,
+                backbones=("llama-12b",),
+                encoders=("vit-2b",),
+                context_lengths=(8192,),
+                datasets=("coyo700m",),
+                **FAST,
+            )
+        finally:
+            sc.setJobGroup("", "")
+        assert len(sc.statusTracker().getJobIdsForGroup("e2-column")) == 3
+
+    def test_cells_independent_of_shuffle_partitions(self, spark):
+        """Integer sums are exact, so the cells do not depend on how
+        Spark partitions the aggregation."""
+        key = "spark.sql.shuffle.partitions"
+        old = spark.conf.get(key)
+        try:
+            spark.conf.set(key, "1")
+            one = run_grid(spark, **self.GRID)
+            spark.conf.set(key, "8")
+            eight = run_grid(spark, **self.GRID)
+        finally:
+            spark.conf.set(key, old)
+        assert one == eight
 
 
 class TestNavit:

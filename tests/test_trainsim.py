@@ -9,7 +9,7 @@ from repro.core.primitives import llm_balance, vanilla_plan, vlm_hybrid_balance
 from repro.data.sources import coyo_lite, generate_samples
 from repro.oracle import assert_equivalent
 from repro.sim.models import BACKBONES, ENCODERS
-from repro.sim.trainsim import normalize_routing, simulate
+from repro.sim.trainsim import normalize_routing, simulate, slot_sums, step_times
 
 TREE = ClientPlaceTree.from_degrees(dp=4)
 LLAMA = BACKBONES["llama-12b"]
@@ -61,8 +61,9 @@ class TestSimulate:
                 "mb": [0],
             }
         )
+        routing = spark.createDataFrame(pdf)
         st = simulate(
-            spark.createDataFrame(pdf),
+            routing,
             LLAMA,
             VIT,
             context_length=CTX,
@@ -71,13 +72,21 @@ class TestSimulate:
             gpu_flops=1.0,
             count_padding=True,
         )
-        row = st.df.collect()[0]
+        (row,) = st.df.to_dict("records")
         # padding: ceil(100/4096)*4096 - 100 = 3996 linear-only tokens
         expect = (
             linear_coeff(LLAMA) * (100 + 3996) + attention_coeff(LLAMA) * 100**2
         )
         assert row["iter_time_s"] == pytest.approx(expect, rel=1e-9)
         assert row["tokens"] == 100
+        # the Spark aggregation behind it: one slot, exact integer sums
+        (sums,) = slot_sums(
+            normalize_routing(routing).withColumn("plan_id", F.lit(0))
+        ).collect()
+        assert sums.asDict() == dict(
+            plan_id=0, step=0, rank=0, mb=0,
+            tokens=100, sq_tokens=100**2, patches=0, sq_patches=0,
+        )
 
     def test_invalid_params(self, spark, buffer_df):
         plan = vanilla_plan(buffer_df, TREE)
@@ -133,10 +142,24 @@ class TestSimulate:
         runs once, and backbone and encoder work are summed per (step,
         rank, mb) in one aggregation, not joined."""
         routing = vlm_hybrid_balance(buffer_df, TREE, LLAMA, VIT, n_microbatches=2)
-        sim = simulate(routing, LLAMA, VIT, context_length=CTX, n_ranks=4, n_microbatches=2)
-        plan = sim.df._jdf.queryExecution().executedPlan().toString()
+        sums = slot_sums(normalize_routing(routing).withColumn("plan_id", F.lit(0)))
+        plan = sums._jdf.queryExecution().executedPlan().toString()
         assert plan.count("FlatMapGroupsInPandas") == 1
         assert "Join" not in plan
+        # simulate finishes from exactly these rows
+        got = simulate(routing, LLAMA, VIT, context_length=CTX, n_ranks=4, n_microbatches=2)
+        want = step_times(sums.toPandas(), LLAMA, VIT, context_length=CTX)
+        pd.testing.assert_frame_equal(got.df, want.df)
+
+    def test_empty_routing(self, spark):
+        """A routing table with no samples simulates to zero tokens and
+        zero throughput."""
+        empty = spark.createDataFrame(
+            [], "step int, text_len int, image_patches int, bucket int, mb int"
+        )
+        s = simulate(empty, LLAMA, VIT, context_length=CTX, n_ranks=4, n_microbatches=2).summary()
+        assert s["tokens"] == 0
+        assert s["throughput_tokens_per_s"] == 0
 
     def test_oracle_iteration_time(self, spark, buffer_df):
         """Verify the whole Spark aggregation against DuckDB SQL."""
