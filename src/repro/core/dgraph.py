@@ -1,13 +1,15 @@
 """DGraph — stateful, source-aware dataflow graph over sample metadata
 (§4.1) plus the declarative orchestration primitives (§4.2).
 
-A DGraph wraps a Spark DataFrame of *lightweight sample metadata* (one
-row per buffered sample: ``sample_id``, ``source_id``, ``row_idx``,
-``step``, modality fields such as ``text_len`` / ``image_patches``).
-Primitives are recorded declaratively and executed lazily by
-:meth:`DGraph.plan`, which runs the per-step planning function —
-mix → cost → balance — distributed via ``groupBy("step").applyInPandas``
-so independent training steps plan in parallel across executors.
+A DGraph is a declaration over *lightweight sample metadata* (one row
+per buffered sample: ``sample_id``, ``source_id``, ``row_idx``,
+``step``, modality fields such as ``text_len`` / ``image_patches``); it
+holds no data. Primitives record what to do, and the graph itself is
+the per-step planning function — mix → cost → balance over one step's
+rows. Two executors run that one function: :meth:`DGraph.plan` binds a
+Spark buffer and runs it via ``groupBy("step").applyInPandas``, so
+independent training steps plan in parallel across executors, and the
+in-process Planner calls the graph on each step's metadata summary.
 
 Lineage: every primitive appends a (from_state, op, to_state) edge, the
 graph's "orchestration transparency" property; ``lineage_edges()``
@@ -87,10 +89,11 @@ class LoadingPlan:
 
 @dataclass(frozen=True)
 class DGraph:
-    """Immutable builder: each primitive returns a new DGraph with one
-    more lineage edge; ``plan()`` executes the pipeline."""
+    """Immutable declaration over sample metadata: each primitive returns
+    a new DGraph with one more lineage edge. The graph holds no data: it
+    is the per-step planning function (``graph(pdf)``), and ``plan(df)``
+    runs that function in Spark over a buffer."""
 
-    df: DataFrame
     fields: tuple[str, ...]
     state: str = "buffered"
     lineage: tuple[tuple[str, str, str], ...] = ()
@@ -107,19 +110,10 @@ class DGraph:
 
     # -- construction -------------------------------------------------------
 
-    @classmethod
-    def from_buffer(cls, buffer_df: DataFrame, fields: Sequence[str]) -> "DGraph":
-        """Bind buffered sample metadata to a new graph. ``fields`` are
-        the modality metadata columns this graph reasons about."""
-        missing = [c for c in (*BUFFER_KEY_COLS, *fields) if c not in buffer_df.columns]
-        if missing:
-            raise ValueError(f"buffer is missing columns {missing}")
-        return cls(df=buffer_df, fields=tuple(fields))
-
     def select_modality(self, fields: Sequence[str]) -> "DGraph":
         """A sibling graph over the same shared data dict with different
         metadata — e.g. an image graph next to a text graph."""
-        g = DGraph.from_buffer(self.df, fields)
+        g = DGraph(tuple(fields))
         return replace(g, lineage=self._edge(g, "select_modality"))
 
     # -- primitives ----------------------------------------------------------
@@ -189,70 +183,53 @@ class DGraph:
 
     # -- execution -----------------------------------------------------------
 
-    def step_planner(self) -> "_StepPlanner":
-        """The per-step planning function this graph's primitives declare."""
+    @property
+    def n_buckets(self) -> int:
         if self._tree is None or self._axis is None:
-            raise RuntimeError("call distribute() before plan()")
-        return _StepPlanner(
-            schedule=self._schedule,
-            batch_size=self._batch_size,
-            cost_fn=self._cost_fn,
-            method=self._balance_method,
-            intra_reorder=self._intra_reorder,
-            n_buckets=self._tree.n_buckets(self._axis, self._group_size),
-            n_bins=self._n_microbatches,
-        )
+            raise RuntimeError("call distribute() before planning")
+        return self._tree.n_buckets(self._axis, self._group_size)
 
-    def plan(self) -> LoadingPlan:
-        """Execute mix → cost → balance per step, distributed over steps."""
-        planner = self.step_planner()
+    def bind(self, buffer_df: DataFrame) -> DataFrame:
+        """The buffer's key and field columns — the rows this graph plans."""
         keep = [*BUFFER_KEY_COLS, *self.fields]
-        schema = T.StructType([self.df.schema[c] for c in keep] + list(PLAN_FIELDS))
-        def run_step(pdf: pd.DataFrame) -> pd.DataFrame:
-            return planner(pdf)
+        missing = [c for c in keep if c not in buffer_df.columns]
+        if missing:
+            raise ValueError(f"buffer is missing columns {missing}")
+        return buffer_df.select(*keep)
 
-        assignments = (
-            self.df.select(*keep).groupBy("step").applyInPandas(run_step, schema=schema)
-        )
+    def plan(self, buffer_df: DataFrame) -> LoadingPlan:
+        """Execute mix → cost → balance per step over ``buffer_df``,
+        distributed over steps."""
+        rows = self.bind(buffer_df)
+        schema = T.StructType(list(rows.schema) + list(PLAN_FIELDS))
+
+        def run_step(pdf: pd.DataFrame) -> pd.DataFrame:
+            return self(pdf)
+
         g = replace(self, state="planned")
         return LoadingPlan(
-            assignments=assignments,
+            assignments=rows.groupBy("step").applyInPandas(run_step, schema=schema),
             tree=self._tree,
             axis=self._axis,
             group_size=self._group_size,
-            n_buckets=planner.n_buckets,
-            n_microbatches=planner.n_bins,
+            n_buckets=self.n_buckets,
+            n_microbatches=self._n_microbatches,
             broadcast_dims=self._broadcast_dims,
             lineage=self._edge(g, "plan"),
         )
 
-
-@dataclass
-class _StepPlanner:
-    """Picklable per-step planning closure executed inside applyInPandas.
-
-    Also callable directly on a pandas buffer (the Planner's in-process
-    ``plan_raw`` path) — both paths share this exact code.
-    """
-
-    schedule: MixSchedule | None
-    batch_size: int | None
-    cost_fn: CostFn | None
-    method: str | None
-    intra_reorder: bool
-    n_buckets: int
-    n_bins: int
-
-    def __call__(self, *args) -> pd.DataFrame:
-        # applyInPandas may invoke with (key, pdf); direct callers pass (pdf,)
-        pdf: pd.DataFrame = args[-1]
+    def __call__(self, pdf: pd.DataFrame) -> pd.DataFrame:
+        """Plan one step's buffered samples: the per-step function that
+        ``plan`` runs inside ``applyInPandas`` and the in-process Planner
+        runs on its metadata summary."""
+        n_buckets = self.n_buckets
         pdf = pdf.sort_values(["source_id", "row_idx"], kind="stable").reset_index(
             drop=True
         )
         step = int(pdf["step"].iloc[0]) if len(pdf) else 0
 
-        if self.schedule is not None and self.batch_size is not None:
-            counts = self.schedule.sample_counts(step, self.batch_size)
+        if self._schedule is not None:
+            counts = self._schedule.sample_counts(step, self._batch_size)
             parts = []
             for sid, grp in pdf.groupby("source_id", sort=True):
                 want = int(counts[int(sid)]) if int(sid) < len(counts) else 0
@@ -274,25 +251,25 @@ class _StepPlanner:
             pdf = pdf.iloc[g.permutation(len(pdf))].reset_index(drop=True)
 
         cost = (
-            np.asarray(self.cost_fn(pdf), dtype=np.float64)
-            if self.cost_fn is not None
+            np.asarray(self._cost_fn(pdf), dtype=np.float64)
+            if self._cost_fn is not None
             else np.ones(len(pdf))
         )
         if cost.shape != (len(pdf),):
             raise ValueError("cost function must return one cost per sample")
 
-        if self.method is not None and len(pdf):
+        if self._balance_method is not None and len(pdf):
             bucket, mb = balance_two_level(
                 cost,
-                self.n_buckets,
-                self.n_bins,
-                method=self.method,
-                intra_reorder=self.intra_reorder,
+                n_buckets,
+                self._n_microbatches,
+                method=self._balance_method,
+                intra_reorder=self._intra_reorder,
             )
         else:
             idx = np.arange(len(pdf))
-            bucket = idx % self.n_buckets
-            mb = (idx // self.n_buckets) % self.n_bins
+            bucket = idx % n_buckets
+            mb = (idx // n_buckets) % self._n_microbatches
 
         out = pdf.copy()
         out["cost"] = cost

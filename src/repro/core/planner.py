@@ -2,12 +2,12 @@
 
 The Planner owns the data mixture schedule and drives the lazy per-step
 workflow: it collects lightweight buffer metadata from every Source
-Loader (``summary_buffer``), synthesises a loading plan (mix → cost →
-balance over the metadata — the exact per-step planning code the Spark
-data plane runs, shared via :class:`repro.core.dgraph._StepPlanner`),
-directs loaders to prepare and stage the planned samples
-(``loader_do_plan``), and hands the staged batch to Data Constructors
-(``constructor_do_plan``). It also tracks moving-average sampling
+Loader (``summary_buffer``), synthesises a loading plan by calling its
+one :class:`repro.core.dgraph.DGraph` declaration (mix → distribute →
+cost → balance) on that metadata — the same step function the Spark
+data plane runs in ``DGraph.plan`` — directs loaders to prepare and
+stage the planned samples (``loader_do_plan``), and hands the staged
+batch to Data Constructors (``constructor_do_plan``). It also tracks moving-average sampling
 weights and exposes scale-up/down triggers for the AutoScaler, and
 checkpoints its own state for non-interrupted recovery.
 """
@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.constructor import DataConstructor
-from repro.core.dgraph import LoadingPlan, _StepPlanner, sample_id
+from repro.core.dgraph import DGraph, LoadingPlan, sample_id
 from repro.core.placetree import ClientPlaceTree
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixSchedule, MovingAverageTracker
@@ -44,7 +44,8 @@ class Planner:
 
     Parameters mirror the orchestration strategy: distribution axis
     (via ``tree`` + ``axis``), microbatch count, cost function and
-    balancing method (``method=None`` → vanilla round-robin).
+    balancing method (``method=None`` → vanilla round-robin). They are
+    declared once, as ``self.graph``.
     """
 
     def __init__(
@@ -62,17 +63,18 @@ class Planner:
         hi_threshold: float = 0.5,
         lo_threshold: float = 0.02,
     ):
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        graph = (
+            DGraph(("text_len", "image_patches"))
+            .mix(schedule, batch_size)
+            .distribute(axis, tree, n_microbatches=n_microbatches)
+        )
+        if cost_fn is not None:
+            graph = graph.cost(cost_fn)
+        if method is not None:
+            graph = graph.balance(method)
+        self.graph = graph
         self.loaders = list(loaders)
-        self.tree = tree
         self.schedule = schedule
-        self.batch_size = batch_size
-        self.n_microbatches = n_microbatches
-        self.axis = axis
-        self.cost_fn = cost_fn
-        self.method = method
-        self.n_buckets = tree.n_buckets(axis)
         self.hi = hi_threshold
         self.lo = lo_threshold
         self.tracker = MovingAverageTracker(schedule.n_sources, window=ma_window)
@@ -96,20 +98,11 @@ class Planner:
         return out
 
     def plan_raw(self, summary: pd.DataFrame) -> pd.DataFrame:
-        """Run the shared per-step planning function over a metadata
+        """Run the graph's per-step planning function over a metadata
         summary — identical code to the Spark ``applyInPandas`` path."""
-        planner = _StepPlanner(
-            schedule=self.schedule,
-            batch_size=self.batch_size,
-            cost_fn=self.cost_fn,
-            method=self.method,
-            intra_reorder=True,
-            n_buckets=self.n_buckets,
-            n_bins=self.n_microbatches,
-        )
         if summary.empty:
             raise RuntimeError("no buffered samples to plan over")
-        return planner(summary)
+        return self.graph(summary)
 
     def loader_do_plan(self, plan: StepPlan) -> float:
         """Direct each loader to prepare and stage its planned rows;
@@ -128,7 +121,7 @@ class Planner:
         samples (the staged frame is the plan's assignment table)."""
         return {
             b: DataConstructor(b, loading_plan, context_length)
-            for b in range(self.n_buckets)
+            for b in range(self.graph.n_buckets)
         }
 
     # -- per-step workflow ------------------------------------------------------

@@ -52,11 +52,9 @@ def encoder_cost_fn(cfg: ModelConfig) -> Callable[[pd.DataFrame], np.ndarray]:
     return fn
 
 
-def _sampled(
-    buffer_df: DataFrame, schedule: MixSchedule | None, batch_size: int | None
-) -> DGraph:
-    """The buffer's sample graph, mixed by ``schedule`` when one is given."""
-    g = DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
+def _sampled(schedule: MixSchedule | None, batch_size: int | None) -> DGraph:
+    """The sample graph, mixed by ``schedule`` when one is given."""
+    g = DGraph(("text_len", "image_patches"))
     if schedule is None:
         return g
     if batch_size is None:
@@ -65,7 +63,6 @@ def _sampled(
 
 
 def llm_graph(
-    buffer_df: DataFrame,
     tree: ClientPlaceTree,
     backbone: ModelConfig,
     schedule: MixSchedule | None = None,
@@ -76,7 +73,7 @@ def llm_graph(
 ) -> DGraph:
     """The backbone graph shared by ``llm_balance``, the hybrid and E2."""
     return (
-        _sampled(buffer_df, schedule, batch_size)
+        _sampled(schedule, batch_size)
         .distribute("DP", tree, n_microbatches=n_microbatches)
         .cost(llm_cost_fn(backbone))
         .balance(method, intra_reorder=intra_reorder)
@@ -98,12 +95,26 @@ def llm_balance(
     """Fig. 9's unimodal strategy: distribute along DP, cost by fused
     token count, balance inter-microbatch, broadcast at TP."""
     g = llm_graph(
-        buffer_df, tree, backbone, schedule, batch_size, n_microbatches, method,
-        intra_reorder,
+        tree, backbone, schedule, batch_size, n_microbatches, method, intra_reorder
     )
     if broadcast_tp and tree.dims.get("TP", 1) > 1:
         g = g.broadcast_at("TP")
-    return g.plan()
+    return g.plan(buffer_df)
+
+
+def vanilla_graph(
+    tree: ClientPlaceTree,
+    *,
+    schedule: MixSchedule | None = None,
+    batch_size: int | None = None,
+    n_microbatches: int = 1,
+    axis: str = "DP",
+) -> DGraph:
+    """No scheduling: samples assigned round-robin in arrival order —
+    the paper's Vanilla baseline."""
+    return _sampled(schedule, batch_size).distribute(
+        axis, tree, n_microbatches=n_microbatches
+    )
 
 
 def vanilla_plan(
@@ -115,10 +126,11 @@ def vanilla_plan(
     n_microbatches: int = 1,
     axis: str = "DP",
 ) -> LoadingPlan:
-    """No scheduling: samples assigned round-robin in arrival order —
-    the paper's Vanilla baseline."""
-    g = _sampled(buffer_df, schedule, batch_size)
-    return g.distribute(axis, tree, n_microbatches=n_microbatches).plan()
+    """``vanilla_graph`` planned over ``buffer_df``."""
+    return vanilla_graph(
+        tree, schedule=schedule, batch_size=batch_size,
+        n_microbatches=n_microbatches, axis=axis,
+    ).plan(buffer_df)
 
 
 def hybrid_step(
@@ -134,7 +146,6 @@ def hybrid_step(
         .distribute(AXIS_WORLD, tree, n_microbatches=n_microbatches)
         .cost(encoder_cost_fn(encoder))
         .balance(method)
-        .step_planner()
     )
     plan_cols = [f.name for f in PLAN_FIELDS]
 
@@ -162,22 +173,19 @@ def vlm_hybrid_balance(
     backbone and images for the encoder in one per-step plan, returning
     the routing table (sample keys, metadata, llm_cost/llm_bucket/llm_mb,
     enc_cost/enc_bucket/enc_mb)."""
-    text = llm_graph(
-        buffer_df, tree, backbone, schedule, batch_size, n_microbatches, method
-    )
-    plan_llm = text.step_planner()
+    text = llm_graph(tree, backbone, schedule, batch_size, n_microbatches, method)
     plan_hybrid = hybrid_step(text, tree, encoder, n_microbatches, method)
 
     def run_step(pdf: pd.DataFrame) -> pd.DataFrame:
-        return plan_hybrid(plan_llm(pdf))
+        return plan_hybrid(text(pdf))
 
-    keep = [*BUFFER_KEY_COLS, *text.fields]
+    rows = text.bind(buffer_df)
     schema = T.StructType(
-        [buffer_df.schema[c] for c in keep]
+        list(rows.schema)
         + [
             T.StructField(f"{m}_{f.name}", f.dataType, False)
             for m in ("llm", "enc")
             for f in PLAN_FIELDS
         ]
     )
-    return buffer_df.select(*keep).groupBy("step").applyInPandas(run_step, schema=schema)
+    return rows.groupBy("step").applyInPandas(run_step, schema=schema)

@@ -62,7 +62,6 @@ class LoaderState:
 
     cursor: int = 0
     prepared_upto: int = 0
-    steps_served: int = 0
 
 
 class SourceLoader:
@@ -191,7 +190,6 @@ class SourceLoader:
         self._buffer = self._buffer.iloc[len(wanted) :].reset_index(drop=True)
         if len(wanted):
             self.state.prepared_upto = int(wanted[-1]) + 1
-        self.state.steps_served += 1
         return self.transform_latency(len(wanted))
 
     def pop_staged(self) -> pd.DataFrame:
@@ -228,16 +226,13 @@ class SourceLoader:
             "shard": self.shard,
             "cursor": self.state.cursor,
             "prepared_upto": self.state.prepared_upto,
-            "steps_served": self.state.steps_served,
         }
 
     def restore(self, ckpt: dict) -> None:
         if ckpt["source"] != self.spec.name or ckpt["shard"] != self.shard:
             raise ValueError("checkpoint does not belong to this loader shard")
         self.state = LoaderState(
-            cursor=ckpt["cursor"],
-            prepared_upto=ckpt["prepared_upto"],
-            steps_served=ckpt["steps_served"],
+            cursor=ckpt["cursor"], prepared_upto=ckpt["prepared_upto"]
         )
         self._buffer = pd.DataFrame()
         self._staged = []

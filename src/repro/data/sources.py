@@ -10,9 +10,9 @@ so this module generates seed-deterministic synthetic equivalents whose
   short uniform body (coyo: 98.23 % of samples <= 64 tokens) and
   otherwise a Pareto tail (the top 1.62 % of coyo samples hold 9.3 % of
   tokens).
-- Image patches: coyo images are near-fixed-resolution (256 +- jitter
-  patches); navit images are variable-resolution with a lognormal-like
-  (Pareto-mixture) patch count.
+- Image patches: both groups draw variable-resolution images with a
+  heavy-tailed (Pareto) patch count — coyo around a 256-patch mode,
+  navit around a per-source mode.
 - Per-source heterogeneity: each source carries its own transformation
   latency and file-access-state memory, drawn from lognormals matching
   the CDF shapes of Fig. 5 (latency spanning ~1 ms to ~10 s, file state
@@ -97,8 +97,7 @@ class SourceSpec:
     tail_alpha: float  # Pareto tail index for long text
     tail_min: int  # tail component minimum tokens
     img_patch_mode: int  # typical patches per image
-    img_tail_alpha: float  # Pareto tail index for patch counts (navit)
-    img_variable: bool  # variable-resolution images (navit) or fixed (coyo)
+    img_tail_alpha: float  # Pareto tail index for patch counts
     transform_cost_s: float
     file_state_gb: float
 
@@ -133,7 +132,6 @@ def coyo_lite(n_sources: int = 5, seed: int = 11) -> list[SourceSpec]:
                 tail_min=64,
                 img_patch_mode=256,  # 16x16 grid at the modal resolution
                 img_tail_alpha=float(g.uniform(1.15, 1.35)),
-                img_variable=True,
                 transform_cost_s=cost,
                 file_state_gb=mem,
             )
@@ -159,7 +157,6 @@ def navit_lite(n_sources: int = 306, seed: int = 17) -> list[SourceSpec]:
                 tail_min=128,
                 img_patch_mode=int(g.integers(64, 512)),
                 img_tail_alpha=float(g.uniform(1.3, 2.2)),
-                img_variable=True,
                 transform_cost_s=cost,
                 file_state_gb=mem,
             )
@@ -202,13 +199,17 @@ def sample_payload_bytes(text_len: np.ndarray, image_patches: np.ndarray) -> np.
     )
 
 
+#: cap on a sample's text tokens; the Pareto tail is unbounded and text
+#: lengths are stored as int32
+MAX_TEXT_LEN = 1 << 20
+
+
 def generate_source_rows(
     spec: SourceSpec,
     start: int,
     count: int,
     *,
     seed: int = 0,
-    max_text_len: int = 1 << 20,
 ) -> pd.DataFrame:
     """Rows [start, start+count) of a source — the one generator behind
     Spark buffers, Parquet sources and Source Loader reads and re-reads
@@ -222,14 +223,9 @@ def generate_source_rows(
     short = 1 + np.floor(u_short * spec.short_max).astype(np.int64)
     tail = _pareto_from_u(u_tail, spec.tail_min, spec.tail_alpha)
     text = np.where(u_mix < spec.p_short, short, tail.astype(np.int64))
-    text = np.clip(text, 1, max_text_len).astype(np.int32)
-
-    if spec.img_variable:
-        patches = _pareto_from_u(u_img, spec.img_patch_mode, spec.img_tail_alpha)
-        patches = np.clip(patches, 16, 16384).astype(np.int32)
-    else:
-        # fixed-resolution grid with small crop jitter
-        patches = (spec.img_patch_mode * (0.9 + 0.2 * u_img)).astype(np.int32)
+    text = np.clip(text, 1, MAX_TEXT_LEN).astype(np.int32)
+    patches = _pareto_from_u(u_img, spec.img_patch_mode, spec.img_tail_alpha)
+    patches = np.clip(patches, 16, 16384).astype(np.int32)
 
     sample_bytes = sample_payload_bytes(text, patches)
     return pd.DataFrame(
@@ -250,15 +246,11 @@ def generate_samples(
     rows_per_source: int,
     *,
     seed: int = 0,
-    max_text_len: int = 1 << 20,
 ) -> DataFrame:
     """Rows ``[0, rows_per_source)`` of every source as a Spark local
     relation over :func:`generate_source_rows`."""
     pdf = pd.concat(
-        [
-            generate_source_rows(s, 0, rows_per_source, seed=seed, max_text_len=max_text_len)
-            for s in specs
-        ],
+        [generate_source_rows(s, 0, rows_per_source, seed=seed) for s in specs],
         ignore_index=True,
     )
     return spark.createDataFrame(pdf, schema=SAMPLE_SCHEMA)

@@ -29,9 +29,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.dgraph import BUFFER_KEY_COLS, DGraph, with_sample_id
+from repro.core.dgraph import with_sample_id
 from repro.core.placetree import ClientPlaceTree
-from repro.core.primitives import hybrid_step, llm_graph
+from repro.core.primitives import hybrid_step, llm_graph, vanilla_graph
 from repro.data.sources import SourceSpec, coyo_lite, generate_samples, navit_lite
 from repro.sim.models import BACKBONES, ENCODERS
 from repro.sim.trainsim import ROUTING_COLS, slot_sums, step_times
@@ -104,15 +104,13 @@ def plan_routings(
         for bb, enc, st in product(backbones, encoders, strategies)
     }
     plan_ids = {plan: i for i, plan in enumerate(dict.fromkeys(plans.values()))}
-    base = DGraph.from_buffer(buffer, fields=["text_len", "image_patches"])
-    base = base.distribute("DP", tree, n_microbatches=n_microbatches)
-    plan_vanilla = base.step_planner()
+    plan_vanilla = vanilla_graph(tree, n_microbatches=n_microbatches)
     plan_llm = {
-        bb: llm_graph(buffer, tree, BACKBONES[bb], n_microbatches=n_microbatches).step_planner()
+        bb: llm_graph(tree, BACKBONES[bb], n_microbatches=n_microbatches)
         for _, bb, _ in plan_ids if bb is not None
     }
     plan_hybrid = {
-        enc: hybrid_step(base, tree, ENCODERS[enc], n_microbatches)
+        enc: hybrid_step(plan_vanilla, tree, ENCODERS[enc], n_microbatches)
         for _, _, enc in plan_ids if enc is not None
     }
 
@@ -132,7 +130,7 @@ def plan_routings(
         return pd.concat(out, ignore_index=True)
 
     schema = ", ".join(f"{c} int" for c in (*ROUTING_COLS, "plan_id"))
-    grouped = buffer.select(*BUFFER_KEY_COLS, *base.fields).groupBy("step")
+    grouped = plan_vanilla.bind(buffer).groupBy("step")
     cell_ids = {cell: plan_ids[plan] for cell, plan in plans.items()}
     return grouped.applyInPandas(run_step, schema), cell_ids
 

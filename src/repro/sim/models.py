@@ -62,26 +62,6 @@ def attention_coeff(cfg: ModelConfig) -> float:
     return _TRAIN_MULT * cfg.layers * 4 * cfg.hidden
 
 
-def backbone_flops(
-    cfg: ModelConfig, lengths: np.ndarray, padded_tokens: float = 0.0
-) -> float:
-    """Training FLOPs for subsequences of ``lengths`` tokens packed with
-    segment masks, plus ``padded_tokens`` dummy tokens (linear cost only
-    — padding does not attend)."""
-    l = np.asarray(lengths, dtype=np.float64)
-    return float(
-        linear_coeff(cfg) * (l.sum() + padded_tokens)
-        + attention_coeff(cfg) * (l * l).sum()
-    )
-
-
-def encoder_flops(cfg: ModelConfig, patches: np.ndarray) -> float:
-    """Training FLOPs of a ViT encoder over images with per-image patch
-    counts ``patches`` (attention is per image)."""
-    p = np.asarray(patches, dtype=np.float64)
-    return float(linear_coeff(cfg) * p.sum() + attention_coeff(cfg) * (p * p).sum())
-
-
 def sample_backbone_cost(
     cfg: ModelConfig, text_len: np.ndarray, image_patches: np.ndarray
 ) -> np.ndarray:

@@ -64,7 +64,6 @@ class ScalabilityPoint:
 def actor_model_scalability(
     gpu_counts: Sequence[int],
     *,
-    n_loaders: int = 306,
     tp: int = 4,
     pp: int = 4,
     cp: int = 1,

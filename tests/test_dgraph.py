@@ -31,14 +31,14 @@ class TestConstruction:
     def test_missing_columns_rejected(self, spark):
         df = spark.range(3).select(F.col("id").alias("sample_id"))
         with pytest.raises(ValueError):
-            DGraph.from_buffer(df, fields=["text_len"])
+            DGraph(("text_len",)).distribute("DP", TREE).plan(df)
 
-    def test_fields_recorded(self, buffer_df):
-        g = DGraph.from_buffer(buffer_df, fields=["text_len"])
+    def test_fields_recorded(self):
+        g = DGraph(("text_len",))
         assert g.fields == ("text_len",)
 
-    def test_select_modality(self, buffer_df):
-        g = DGraph.from_buffer(buffer_df, fields=["text_len"])
+    def test_select_modality(self):
+        g = DGraph(("text_len",))
         img = g.select_modality(["image_patches"])
         assert img.fields == ("image_patches",)
         assert ("buffered", "select_modality", "buffered") in img.lineage
@@ -46,30 +46,30 @@ class TestConstruction:
 
 class TestPrimitiveValidation:
     def test_plan_requires_distribute(self, buffer_df):
-        g = DGraph.from_buffer(buffer_df, fields=["text_len"])
+        g = DGraph(("text_len",))
         with pytest.raises(RuntimeError):
-            g.plan()
+            g.plan(buffer_df)
 
-    def test_mix_requires_positive_batch(self, buffer_df):
-        g = DGraph.from_buffer(buffer_df, fields=["text_len"])
+    def test_mix_requires_positive_batch(self):
+        g = DGraph(("text_len",))
         with pytest.raises(ValueError):
             g.mix(ConstantSchedule([1, 1, 1, 1, 1]), 0)
 
-    def test_distribute_validates_axis(self, buffer_df):
-        g = DGraph.from_buffer(buffer_df, fields=["text_len"])
+    def test_distribute_validates_axis(self):
+        g = DGraph(("text_len",))
         with pytest.raises(KeyError):
             g.distribute("EP", TREE)
 
-    def test_immutability(self, buffer_df):
-        g = DGraph.from_buffer(buffer_df, fields=["text_len"])
+    def test_immutability(self):
+        g = DGraph(("text_len",))
         g2 = g.distribute("DP", TREE)
         assert g.state == "buffered" and g2.state == "distributed"
 
 
 class TestLineage:
-    def test_edges_accumulate(self, buffer_df):
+    def test_edges_accumulate(self):
         g = (
-            DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
+            DGraph(("text_len", "image_patches"))
             .mix(ConstantSchedule([1] * 5), 40)
             .distribute("DP", TREE, n_microbatches=2)
             .cost(simple_cost)
@@ -80,17 +80,17 @@ class TestLineage:
         assert states == ["sampled", "distributed", "costed", "balanced", "balanced"]
 
     def test_plan_edge(self, buffer_df):
-        g = DGraph.from_buffer(buffer_df, fields=["text_len"]).distribute("DP", TREE)
-        plan = g.plan()
+        g = DGraph(("text_len",)).distribute("DP", TREE)
+        plan = g.plan(buffer_df)
         assert plan.lineage[-1][1] == "plan"
 
 
 class TestPlanExecution:
     def test_vanilla_round_robin(self, buffer_df):
         plan = (
-            DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
+            DGraph(("text_len", "image_patches"))
             .distribute("DP", TREE, n_microbatches=2)
-            .plan()
+            .plan(buffer_df)
         )
         pdf = plan.to_pandas()
         # all samples admitted (no mix), buckets nearly equal in count
@@ -103,10 +103,10 @@ class TestPlanExecution:
     def test_mix_apportions_by_weight(self, buffer_df):
         sched = ConstantSchedule([1, 1, 0, 0, 0])
         plan = (
-            DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
+            DGraph(("text_len", "image_patches"))
             .mix(sched, 40)
             .distribute("DP", TREE)
-            .plan()
+            .plan(buffer_df)
         )
         pdf = plan.to_pandas()
         per_step = pdf.groupby("step").size()
@@ -114,13 +114,13 @@ class TestPlanExecution:
         assert set(pdf["source_id"]) == {0, 1}
 
     def test_balance_reduces_cost_spread(self, buffer_df):
-        base = DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
-        vanilla = base.distribute("DP", TREE).cost(simple_cost).plan().to_pandas()
+        base = DGraph(("text_len", "image_patches"))
+        vanilla = base.distribute("DP", TREE).cost(simple_cost).plan(buffer_df).to_pandas()
         balanced = (
             base.distribute("DP", TREE)
             .cost(simple_cost)
             .balance("karmarkar_karp")
-            .plan()
+            .plan(buffer_df)
             .to_pandas()
         )
 
@@ -132,16 +132,16 @@ class TestPlanExecution:
         assert max_over_mean(balanced) < 1.05
 
     def test_same_samples_both_strategies(self, buffer_df):
-        base = DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
-        a = base.distribute("DP", TREE).plan().to_pandas()
-        b = base.distribute("DP", TREE).cost(simple_cost).balance().plan().to_pandas()
+        base = DGraph(("text_len", "image_patches"))
+        a = base.distribute("DP", TREE).plan(buffer_df).to_pandas()
+        b = base.distribute("DP", TREE).cost(simple_cost).balance().plan(buffer_df).to_pandas()
         assert sorted(a["sample_id"]) == sorted(b["sample_id"])
 
     def test_world_axis_bucket_count(self, buffer_df):
         plan = (
-            DGraph.from_buffer(buffer_df, fields=["image_patches"])
+            DGraph(("image_patches",))
             .distribute(AXIS_WORLD, TREE)
-            .plan()
+            .plan(buffer_df)
         )
         assert plan.n_buckets == TREE.world_size
         pdf = plan.to_pandas()
@@ -149,18 +149,18 @@ class TestPlanExecution:
 
     def test_group_size_coalesces_buckets(self, buffer_df):
         plan = (
-            DGraph.from_buffer(buffer_df, fields=["text_len"])
+            DGraph(("text_len",))
             .distribute("DP", TREE, group_size=2)
-            .plan()
+            .plan(buffer_df)
         )
         assert plan.n_buckets == 2
 
     def test_oracle_bucket_counts(self, spark, buffer_df):
         # the plan's per-(step,bucket) sample counts agree with DuckDB
         plan = (
-            DGraph.from_buffer(buffer_df, fields=["text_len", "image_patches"])
+            DGraph(("text_len", "image_patches"))
             .distribute("DP", TREE, n_microbatches=2)
-            .plan()
+            .plan(buffer_df)
         )
         agg = plan.assignments.groupBy("step", "bucket").agg(
             F.count("*").alias("n"), F.sum("cost").alias("total_cost")
@@ -176,10 +176,10 @@ class TestPlanExecution:
 class TestConsumers:
     def test_broadcast_recorded_in_plan(self, buffer_df):
         plan = (
-            DGraph.from_buffer(buffer_df, fields=["text_len"])
+            DGraph(("text_len",))
             .distribute("DP", TREE)
             .broadcast_at("TP")
-            .plan()
+            .plan(buffer_df)
         )
         cons = plan.consumers(0)
         ranks = set(cons)
@@ -189,8 +189,8 @@ class TestConsumers:
 
     def test_no_broadcast_all_tp_consume(self, buffer_df):
         plan = (
-            DGraph.from_buffer(buffer_df, fields=["text_len"])
+            DGraph(("text_len",))
             .distribute("DP", TREE)
-            .plan()
+            .plan(buffer_df)
         )
         assert len(plan.consumers(0)) == 2  # tp=2 clients in DP group 0

@@ -29,17 +29,19 @@ class TestConfigs:
 
 
 class TestBackboneFlops:
+    """Properties of the backbone cost the planner balances: a packed
+    sequence costs the sum of its samples' costs (segment masks)."""
+
     def test_quadratic_in_length(self):
         cfg = M.BACKBONES["llama-12b"]
-        f1 = M.backbone_flops(cfg, np.array([1000]))
-        f2 = M.backbone_flops(cfg, np.array([2000]))
+        f1, f2 = M.sample_backbone_cost(cfg, np.array([1000, 2000]), np.zeros(2))
         # doubling one subsequence more than doubles cost (quadratic term)
         assert f2 > 2 * f1
 
     def test_segmented_vs_monolithic(self):
         cfg = M.BACKBONES["llama-12b"]
-        packed = M.backbone_flops(cfg, np.array([50, 50]))
-        mono = M.backbone_flops(cfg, np.array([100]))
+        packed = M.sample_backbone_cost(cfg, np.array([50, 50]), np.zeros(2)).sum()
+        mono = M.sample_backbone_cost(cfg, np.array([100]), np.zeros(1)).sum()
         assert packed < mono  # segment masks cut attention cost
 
     def test_paper_30_70_example(self):
@@ -50,34 +52,27 @@ class TestBackboneFlops:
         bal = att * (50**2 + 50**2)
         assert unbal / bal == pytest.approx(1.16)
 
-    def test_padding_is_linear_only(self):
-        cfg = M.BACKBONES["llama-12b"]
-        base = M.backbone_flops(cfg, np.array([100]))
-        padded = M.backbone_flops(cfg, np.array([100]), padded_tokens=50)
-        assert padded - base == pytest.approx(M.linear_coeff(cfg) * 50)
-
     def test_empty(self):
         cfg = M.BACKBONES["llama-12b"]
-        assert M.backbone_flops(cfg, np.array([])) == 0.0
+        assert M.sample_backbone_cost(cfg, np.array([]), np.array([])).sum() == 0.0
 
 
 class TestEncoderFlops:
     def test_monotone_in_patches(self):
-        cfg = M.ENCODERS["vit-1b"]
-        assert M.encoder_flops(cfg, np.array([256])) < M.encoder_flops(
-            cfg, np.array([1024])
-        )
+        small, large = M.sample_encoder_cost(M.ENCODERS["vit-1b"], np.array([256, 1024]))
+        assert small < large
 
     def test_vit2b_costs_more(self):
         p = np.array([256, 256])
-        assert M.encoder_flops(M.ENCODERS["vit-2b"], p) > M.encoder_flops(
-            M.ENCODERS["vit-1b"], p
+        assert (
+            M.sample_encoder_cost(M.ENCODERS["vit-2b"], p).sum()
+            > M.sample_encoder_cost(M.ENCODERS["vit-1b"], p).sum()
         )
 
     def test_per_image_attention(self):
         cfg = M.ENCODERS["vit-1b"]
-        two = M.encoder_flops(cfg, np.array([100, 100]))
-        one = M.encoder_flops(cfg, np.array([200]))
+        two = M.sample_encoder_cost(cfg, np.array([100, 100])).sum()
+        one = M.sample_encoder_cost(cfg, np.array([200])).sum()
         assert two < one
 
 

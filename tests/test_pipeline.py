@@ -15,6 +15,7 @@ from repro.core.constructor import DataConstructor, zigzag_cp_shards
 from repro.core.dgraph import DGraph, LoadingPlan, with_sample_id
 from repro.core.placetree import ClientPlaceTree
 from repro.core.planner import Planner
+from repro.core.primitives import llm_cost_fn, llm_graph
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import ConstantSchedule, LossAdaptiveSchedule, StagedSchedule
 from repro.data.sources import coyo_lite, generate_samples, write_parquet_sources
@@ -132,8 +133,7 @@ class TestPlannerWorkflow:
 
     def test_vanilla_method_none(self):
         loaders = self._loaders()
-        pl = make_planner(loaders)
-        pl.method = None
+        pl = make_planner(loaders, method=None)
         pl.ensure_buffered(20)
         plan = pl.plan_step()
         counts = plan.assignments.groupby("bucket").size()
@@ -245,17 +245,53 @@ class TestPlannerWorkflow:
             pl.plan_step()
 
 
+class TestOneDeclaration:
+    """The in-process Planner and Spark run one declaration: the Planner's
+    step function equals ``llm_graph(...).plan(df)`` row for row."""
+
+    SCHEDULES = {
+        "constant": ConstantSchedule([3, 1, 1, 2, 1]),
+        "staged": StagedSchedule([(0, [1, 1, 1, 1, 1]), (1, [4, 1, 0, 0, 2])]),
+    }
+
+    @pytest.mark.parametrize(
+        "method, n_mb, schedule",
+        [(None, 1, "constant"), ("greedy", 2, "constant"), ("karmarkar_karp", 3, "constant"),
+         (None, 3, "staged"), ("greedy", 1, "staged"), ("karmarkar_karp", 2, "staged")],
+    )
+    def test_planner_equals_spark_plan(self, spark, method, n_mb, schedule):
+        tree = ClientPlaceTree.from_degrees(dp=3)
+        sched, bb = self.SCHEDULES[schedule], BACKBONES["llama-12b"]
+        pl = Planner(
+            [SourceLoader(s, seed=3) for s in SPECS], tree, sched, batch_size=30,
+            n_microbatches=n_mb, cost_fn=llm_cost_fn(bb), method=method,
+        )
+        pl.ensure_buffered(40)
+        summaries = []
+        for step in range(3):  # the staged schedule changes at step 1
+            pl.step = step
+            summaries.append(pl.summary_buffer())
+        df = spark.createDataFrame(pd.concat(summaries, ignore_index=True))
+        graph = llm_graph(tree, bb, sched, 30, n_mb, method)
+        got = graph.plan(df).to_pandas()
+        for step, summary in enumerate(summaries):
+            want = pl.plan_raw(summary)
+            spark_rows = got[got["step"] == step].reset_index(drop=True)
+            assert len(want) == 30
+            pd.testing.assert_frame_equal(spark_rows, want[spark_rows.columns])
+
+
 class TestConstructor:
     def _loading_plan(self, spark, dp=2, cp=1, pp=1, tp=1, n_mb=2, broadcast=()):
         tree = ClientPlaceTree.from_degrees(dp=dp, cp=cp, pp=pp, tp=tp)
         df = generate_samples(spark, SPECS, rows_per_source=40, seed=5)
         df = with_sample_id(df).withColumn("step", F.lit(0))
-        g = DGraph.from_buffer(df, ["text_len", "image_patches"]).distribute(
+        g = DGraph(("text_len", "image_patches")).distribute(
             "DP", tree, n_microbatches=n_mb
         )
         for d in broadcast:
             g = g.broadcast_at(d)
-        return g.plan()
+        return g.plan(df)
 
     def test_microbatches_cover_bucket(self, spark):
         plan = self._loading_plan(spark)
@@ -370,9 +406,9 @@ class TestDeliveryOracle:
             "step", (F.col("row_idx") % 2).cast("int")
         )
         plan = (
-            DGraph.from_buffer(df, ["text_len", "image_patches"])
+            DGraph(("text_len", "image_patches"))
             .distribute("DP", tree, n_microbatches=2)
-            .plan()
+            .plan(df)
         )
         per_sample = plan.assignments.groupBy("sample_id").agg(
             F.count("*").alias("n")
@@ -390,9 +426,9 @@ class TestDeliveryOracle:
         df = generate_samples(spark, SPECS, rows_per_source=30, seed=12)
         df = with_sample_id(df).withColumn("step", F.lit(0))
         plan = (
-            DGraph.from_buffer(df, ["text_len", "image_patches"])
+            DGraph(("text_len", "image_patches"))
             .distribute("DP", tree, n_microbatches=2)
-            .plan()
+            .plan(df)
         )
         staged = plan.to_pandas()
         # packing truncates fused sequences at the context capacity (the

@@ -115,11 +115,11 @@ class TestMerge:
         merged = vlm_hybrid_balance(buffer_df, TREE, LLAMA, VIT, n_microbatches=2, **mix)
         llm = llm_balance(buffer_df, TREE, LLAMA, n_microbatches=2, **mix).assignments
         enc = (
-            DGraph.from_buffer(llm, fields=["image_patches"])
+            DGraph(("image_patches",))
             .distribute(AXIS_WORLD, TREE, n_microbatches=2)
             .cost(encoder_cost_fn(VIT))
             .balance()
-            .plan()
+            .plan(llm)
             .assignments
         )
         plan_cols = ["cost", "bucket", "mb"]

@@ -144,7 +144,6 @@ class TestCheckpoint:
         fresh.restore(ckpt)
         assert fresh.state.cursor == 10
         assert fresh.state.prepared_upto == 2
-        assert fresh.state.steps_served == 1
 
     def test_restore_clears_failure(self, spec):
         ld = SourceLoader(spec)

@@ -78,9 +78,10 @@ class TestGeneration:
         )
         pd.testing.assert_frame_equal(whole, split)
 
-    def test_text_len_capped(self):
+    def test_text_len_capped(self, monkeypatch):
+        monkeypatch.setattr(S, "MAX_TEXT_LEN", 128)
         spec = S.coyo_lite()[0]
-        pdf = S.generate_source_rows(spec, 0, 5000, max_text_len=128)
+        pdf = S.generate_source_rows(spec, 0, 5000)
         assert pdf["text_len"].max() <= 128
         assert pdf["text_len"].min() >= 1
 
