@@ -1,6 +1,7 @@
 """Micro-benchmarks for the balancing/packing algorithms the Planner
 runs on every step (they sit on the plan-generation critical path)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.balance import (
@@ -9,6 +10,19 @@ from repro.core.balance import (
     karmarkar_karp,
     pack_sequences,
 )
+from repro.core.primitives import llm_cost_fn
+from repro.data.sources import coyo_lite, generate_source_rows
+from repro.sim.models import BACKBONES
+
+
+def coyo_costs(n: int) -> np.ndarray:
+    """Backbone costs of ``coyo_stream``'s samples: ``coyo_lite`` rows
+    through ``llm_cost_fn(llama-12b)``, the sources interleaved."""
+    specs = coyo_lite()
+    per = -(-n // len(specs))
+    rows = [generate_source_rows(s, 0, per, seed=1) for s in specs]
+    mixed = pd.concat(rows).sort_values("row_idx", kind="stable").iloc[:n]
+    return llm_cost_fn(BACKBONES["llama-12b"])(mixed)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +51,13 @@ def test_karmarkar_karp_large(benchmark, n_items, n_bins):
 
 
 def test_two_level_balance_coyo_step(benchmark):
-    # perfbench coyo_stream's step: 2304 samples, 32 DP buckets, 4 microbatches
+    # perfbench coyo_stream's step: 2304 coyo samples, 32 DP buckets, 4 microbatches
+    bucket, bins = benchmark(balance_two_level, coyo_costs(2304), 32, 4)
+    assert bucket.max() < 32 and bins.max() < 4
+
+
+def test_two_level_balance_pareto_2304(benchmark):
+    # coyo_stream's shape over pareto(1.2) + 1 costs
     costs = np.random.default_rng(3).pareto(1.2, 2304) + 1
     bucket, bins = benchmark(balance_two_level, costs, 32, 4)
     assert bucket.max() < 32 and bins.max() < 4

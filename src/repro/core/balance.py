@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,21 +52,38 @@ def greedy_binpack(costs: np.ndarray, n_bins: int) -> np.ndarray:
     return assign
 
 
-def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
-    """k-way Karmarkar–Karp largest differencing method.
+_LOAD = itemgetter(0)
 
-    Each heap entry is a k-tuple of partial bin loads, sorted heaviest
-    first, plus one slot node per load; repeatedly merge the two entries
-    with the largest spread, pairing the heaviest slot of one with the
-    lightest of the other (ties broken by heap insertion order, and the
-    merged loads sorted stably). Returns bin index per item. Typically
-    much tighter than LPT on heavy-tailed inputs.
+
+def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
+    """k-way Karmarkar–Karp largest differencing method (Karmarkar & Karp,
+    "The differencing method of set partitioning", 1982).
+
+    Each heap entry is a k-way partial partition: k ``(load, slot)``
+    pairs sorted heaviest first. Repeatedly merge the two entries with
+    the largest spread (heaviest minus lightest load), pairing the
+    heaviest slot of one with the lightest of the other (ties broken by
+    heap insertion order, and the merged pairs sorted stably by load).
+    Returns bin index per item. Typically much tighter than LPT on
+    heavy-tailed inputs.
+
+    An entry is sparse: it stores only its explicit prefix, and every
+    later position is implicitly ``(0.0, empty)``. A single item is a
+    one-pair entry, so most early merges join two entries whose
+    prefixes fit in k together. Such a merge pairs no two non-empty
+    slots, and when the prefixes exactly fill k, or when both last
+    explicit loads are > 0 (no explicit zero can tie with the implicit
+    padding), it is the concatenation of one prefix with the other's
+    reverse, sorted stably — a merge of two sorted runs. Every other
+    merge pads both entries to k, joins slots pairwise, sorts, and
+    trims trailing empty slots. Both give the dense algorithm's order.
 
     A merge joins two slots in O(1): a slot node is an item, a join of
     two non-empty slots, or empty (-1), so the nodes form a forest with
     at most ``n - 1`` joins. One top-down pass over the joins, from the
-    final entry's k slots, labels every item with its bin. O(n k log k
-    + n log n).
+    final entry's slots, labels every item with its bin. O(n k log k
+    + n log n) in the worst case; a sparse merge costs O(p log p) in
+    its p explicit pairs.
     """
     costs = _validate(costs, n_bins)
     n = len(costs)
@@ -76,41 +94,46 @@ def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
         assign[:] = 0
         return assign
 
+    k = n_bins
+    pad = [(0.0, -1)] * k
     # node i < n is item i; node n + t joins left[t] and right[t]
     left: list[int] = []
     right: list[int] = []
-    # entry: (-spread, tiebreak, loads desc, slot node per load)
-    pad_loads, pad_slots = [0.0] * (n_bins - 1), [-1] * (n_bins - 1)
-    heap = [
-        (-c, i, [c] + pad_loads, [i] + pad_slots)
-        for i, c in enumerate(costs.tolist())
-    ]
+    # entry: (-spread, tiebreak, explicit (load, slot) prefix, heaviest first)
+    heap = [(-c, i, [(c, i)]) for i, c in enumerate(costs.tolist())]
     heapq.heapify(heap)
 
     tiebreak = n
     while len(heap) > 1:
-        _, _, l1, s1 = heapq.heappop(heap)
-        _, _, l2, s2 = heapq.heappop(heap)
-        # pair heaviest of one with lightest of the other
-        merged = [a + b for a, b in zip(l1, reversed(l2))]
-        slots = []
-        for a, b in zip(s1, reversed(s2)):
-            if b < 0:
-                slots.append(a)
-            elif a < 0:
-                slots.append(b)
-            else:
-                slots.append(n + len(left))
-                left.append(a)
-                right.append(b)
-        order = sorted(range(n_bins), key=merged.__getitem__, reverse=True)
-        loads = [merged[j] for j in order]
-        slots = [slots[j] for j in order]
-        heapq.heappush(heap, (loads[-1] - loads[0], tiebreak, loads, slots))
+        e1 = heapq.heappop(heap)[2]
+        e2 = heapq.heappop(heap)[2]
+        p = len(e1) + len(e2)
+        if p == k or (p < k and e1[-1][0] > 0.0 and e2[-1][0] > 0.0):
+            e = e1 + e2[::-1]
+            e.sort(key=_LOAD, reverse=True)
+        else:
+            # pair heaviest of one with lightest of the other
+            e = []
+            for (la, a), (lb, b) in zip(
+                e1 + pad[len(e1):], reversed(e2 + pad[len(e2):])
+            ):
+                if b < 0:
+                    e.append((la + lb, a))
+                elif a < 0:
+                    e.append((la + lb, b))
+                else:
+                    e.append((la + lb, n + len(left)))
+                    left.append(a)
+                    right.append(b)
+            e.sort(key=_LOAD, reverse=True)
+            while e[-1][1] < 0:
+                e.pop()
+        lightest = e[-1][0] if len(e) == k else 0.0
+        heapq.heappush(heap, (lightest - e[0][0], tiebreak, e))
         tiebreak += 1
 
     label = [0] * (n + len(left))
-    for b, node in enumerate(heap[0][3]):
+    for b, (_, node) in enumerate(heap[0][2]):
         if node >= 0:
             label[node] = b
     for t in range(len(left) - 1, -1, -1):

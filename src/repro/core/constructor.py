@@ -12,6 +12,12 @@ removes CP/PP/TP loader redundancy: CP ranks receive disjoint zig-zag
 sequence shards of the *same* packed batch; PP>0 stages receive shape
 metadata only; TP>0 ranks are excluded entirely when ``broadcast_at('TP')``
 was declared.
+
+Each constructor takes its bucket's rows out of the staged frame in one
+``take``, ordered by microbatch. Every microbatch's ``sample_rows`` is a
+zero-copy slice of that one frame (re-indexed from 0), and its payload
+size, ``n_bytes``, is summed from a numpy column when the microbatch is
+built, so client payloads read no frame.
 """
 from __future__ import annotations
 
@@ -54,11 +60,23 @@ def _row_bytes(rows: pd.DataFrame) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Microbatch:
-    """One assembled microbatch: packed sequences + padding accounting."""
+    """One assembled microbatch: packed sequences + padding accounting.
+
+    ``sample_rows`` holds the samples that went in, in bucket order and
+    indexed from 0; the constructor builds it as a slice of its bucket's
+    frame, sharing that frame's data. ``n_bytes`` is their total payload
+    size; the constructor sums it from a column of its bucket's frame,
+    and when it is not given it is summed from ``sample_rows``."""
 
     index: int
     sequences: tuple[PackedSequence, ...]
-    sample_rows: pd.DataFrame  # the samples that went in (metadata)
+    sample_rows: pd.DataFrame
+    n_bytes: int = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.n_bytes is None:
+            n = int(_row_bytes(self.sample_rows).sum()) if len(self.sample_rows) else 0
+            object.__setattr__(self, "n_bytes", n)
 
     @property
     def n_sequences(self) -> int:
@@ -97,6 +115,13 @@ class DataConstructor:
         self.plan = plan
         self.context_length = context_length
         self._consumers = plan.consumers(bucket)
+        cp = plan.tree.dims.get("CP", 1)
+        shards = [r for r, kind in self._consumers.items() if kind == "shard"]
+        zigzag = zigzag_cp_shards(context_length, cp) if shards else []
+        self._cp = cp
+        self._cp_ranges = {
+            r: tuple(zigzag[plan.tree.clients[r].coord("CP")]) for r in shards
+        }
 
     # -- microbatch transformation --------------------------------------------
 
@@ -111,16 +136,25 @@ class DataConstructor:
         sel = np.flatnonzero(staged["bucket"].to_numpy() == self.bucket)
         sel = sel[np.argsort(staged["mb"].to_numpy()[sel], kind="stable")]
         mine = staged.take(sel)
-        mb_of = mine["mb"].to_numpy()
+        bounds = np.searchsorted(
+            mine["mb"].to_numpy(), np.arange(self.plan.n_microbatches + 1)
+        )
         fused = mine["text_len"].to_numpy() + mine["image_patches"].to_numpy()
+        cum_bytes = np.concatenate(([0], np.cumsum(_row_bytes(mine)))).tolist()
         out = []
-        for mb in range(self.plan.n_microbatches):
-            s, e = np.searchsorted(mb_of, [mb, mb + 1])
-            rows = mine.iloc[s:e].reset_index(drop=True)
+        for mb, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            rows = mine.iloc[s:e].set_axis(pd.RangeIndex(e - s), axis=0, copy=False)
             seqs = (
                 tuple(pack_sequences(fused[s:e], self.context_length)) if e > s else ()
             )
-            out.append(Microbatch(index=mb, sequences=seqs, sample_rows=rows))
+            out.append(
+                Microbatch(
+                    index=mb,
+                    sequences=seqs,
+                    sample_rows=rows,
+                    n_bytes=cum_bytes[e] - cum_bytes[s],
+                )
+            )
         return out
 
     # -- parallelism transformation --------------------------------------------
@@ -129,9 +163,7 @@ class DataConstructor:
         """Per-client views of one microbatch after parallelism
         transforms. Only consumers returned by the plan fetch anything;
         broadcast-excluded ranks are absent (they receive trainer-side)."""
-        cp = self.plan.tree.dims.get("CP", 1)
-        shapes = tuple((len(mb.sequences), self.context_length) for _ in range(1))
-        full_bytes = int(_row_bytes(mb.sample_rows).sum()) if len(mb.sample_rows) else 0
+        shapes = ((len(mb.sequences), self.context_length),)
         payloads: dict[int, ClientPayload] = {}
         for rank, kind in self._consumers.items():
             if kind == "metadata":
@@ -143,16 +175,12 @@ class DataConstructor:
                     bytes_transferred=64 * max(1, len(mb.sequences)),
                 )
             elif kind == "shard":
-                client = self.plan.tree.clients[rank]
-                ranges = tuple(
-                    zigzag_cp_shards(self.context_length, cp)[client.coord("CP")]
-                )
                 payloads[rank] = ClientPayload(
                     rank=rank,
                     kind="shard",
-                    token_ranges=ranges,
+                    token_ranges=self._cp_ranges[rank],
                     shapes=shapes,
-                    bytes_transferred=full_bytes // cp,
+                    bytes_transferred=mb.n_bytes // self._cp,
                 )
             else:
                 payloads[rank] = ClientPayload(
@@ -160,6 +188,6 @@ class DataConstructor:
                     kind="full",
                     token_ranges=None,
                     shapes=shapes,
-                    bytes_transferred=full_bytes,
+                    bytes_transferred=mb.n_bytes,
                 )
         return payloads

@@ -39,6 +39,23 @@ class StepPlan:
         return len(self.assignments)
 
 
+def _rows_by_loader(assigned: pd.DataFrame) -> dict[tuple[str, int], list[int]]:
+    """(source, shard) → its assigned ``row_idx`` in assignment order,
+    keys in order of first appearance."""
+    source = assigned["source"].to_numpy()
+    shard = assigned["_shard"].to_numpy(np.int64)
+    source_code = pd.factorize(source)[0]
+    group = pd.factorize(source_code * (shard.max(initial=0) + 1) + shard)[0]
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group)
+    ends = np.cumsum(counts)
+    firsts = order[ends - counts]
+    rows = np.split(assigned["row_idx"].to_numpy()[order], ends[:-1])
+    return {
+        (source[i], int(shard[i])): r.tolist() for i, r in zip(firsts.tolist(), rows)
+    }
+
+
 class Planner:
     """Central planner over a set of Source Loaders.
 
@@ -138,12 +155,10 @@ class Planner:
     def plan_step(self) -> StepPlan:
         """Produce and execute one step's loading plan (workflow 3-5)."""
         assigned = self.plan_raw(self.summary_buffer())
-        per_loader: dict[tuple[str, int], list[int]] = {}
-        keys = zip(assigned["source"], assigned["_shard"], assigned["row_idx"])
-        for src, shard, row in keys:
-            per_loader.setdefault((src, int(shard)), []).append(int(row))
         plan = StepPlan(
-            step=self.step, assignments=assigned, per_loader_rows=per_loader
+            step=self.step,
+            assignments=assigned,
+            per_loader_rows=_rows_by_loader(assigned),
         )
         self.loader_do_plan(plan)
         self.tracker.observe(self.schedule.weights(self.step), self.hi, self.lo)

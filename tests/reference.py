@@ -4,7 +4,9 @@ faster versions against, result for result.
 - :func:`karmarkar_karp` — k-way largest differencing that copies the
   item lists behind every slot on each merge.
 - :func:`build_microbatches` — a Data Constructor's microbatches, one
-  boolean filter per microbatch.
+  boolean filter and one copied frame per microbatch.
+- :func:`client_payloads` — a microbatch's client payloads, its bytes
+  read from its sample rows and the zig-zag CP ranges cut per rank.
 - :func:`consumers` — a bucket's consumers, found by asking every client
   of the tree for its bucket.
 """
@@ -17,7 +19,13 @@ import numpy as np
 import pandas as pd
 
 from repro.core.balance import _validate, pack_sequences
-from repro.core.constructor import Microbatch
+from repro.core.constructor import (
+    ClientPayload,
+    DataConstructor,
+    Microbatch,
+    _row_bytes,
+    zigzag_cp_shards,
+)
 from repro.core.placetree import ClientPlaceTree
 
 
@@ -73,8 +81,46 @@ def build_microbatches(
             else np.array([], dtype=np.int64)
         )
         seqs = tuple(pack_sequences(fused, context_length)) if len(rows) else ()
-        out.append(Microbatch(index=mb, sequences=seqs, sample_rows=rows))
+        n_bytes = int(_row_bytes(rows).sum()) if len(rows) else 0
+        out.append(
+            Microbatch(index=mb, sequences=seqs, sample_rows=rows, n_bytes=n_bytes)
+        )
     return out
+
+
+def client_payloads(dc: DataConstructor, mb: Microbatch) -> dict[int, ClientPayload]:
+    cp = dc.plan.tree.dims.get("CP", 1)
+    shapes = tuple((len(mb.sequences), dc.context_length) for _ in range(1))
+    full_bytes = int(_row_bytes(mb.sample_rows).sum()) if len(mb.sample_rows) else 0
+    payloads: dict[int, ClientPayload] = {}
+    for rank, kind in dc.plan.consumers(dc.bucket).items():
+        if kind == "metadata":
+            payloads[rank] = ClientPayload(
+                rank=rank,
+                kind="metadata",
+                token_ranges=None,
+                shapes=shapes,
+                bytes_transferred=64 * max(1, len(mb.sequences)),
+            )
+        elif kind == "shard":
+            client = dc.plan.tree.clients[rank]
+            ranges = tuple(zigzag_cp_shards(dc.context_length, cp)[client.coord("CP")])
+            payloads[rank] = ClientPayload(
+                rank=rank,
+                kind="shard",
+                token_ranges=ranges,
+                shapes=shapes,
+                bytes_transferred=full_bytes // cp,
+            )
+        else:
+            payloads[rank] = ClientPayload(
+                rank=rank,
+                kind="full",
+                token_ranges=None,
+                shapes=shapes,
+                bytes_transferred=full_bytes,
+            )
+    return payloads
 
 
 def consumers(

@@ -2,11 +2,15 @@
 from unittest import mock
 
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import balance as B
+from repro.core.primitives import llm_cost_fn
+from repro.data.sources import coyo_lite, generate_source_rows
+from repro.sim.models import BACKBONES
 from tests import reference
 
 # zeros and small integers give equal loads and equal spreads, so the
@@ -15,6 +19,29 @@ COSTS = st.lists(
     st.one_of(st.integers(0, 4).map(float), st.floats(min_value=0, max_value=1e6)),
     max_size=60,
 )
+
+
+@st.composite
+def kk_boundary_cases(draw):
+    """k up to 40 and n next to k, m*k and m*k +- 1, over a few costs that
+    include 0.0: sparse merges that exactly fill k, sparse merges that
+    leave implicit empty slots next to explicit zero-cost ones, and the
+    dense fallback all run."""
+    k = draw(st.integers(min_value=2, max_value=40))
+    m = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.sampled_from([k - 2, k - 1, k, k + 1, k + 2, m * k - 1, m * k, m * k + 1]))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.5]), min_size=n, max_size=n))
+    return costs, k
+
+
+def coyo_costs(n: int) -> np.ndarray:
+    """Backbone costs of ``coyo_stream``'s samples: ``coyo_lite`` rows
+    through ``llm_cost_fn(llama-12b)``, the sources interleaved."""
+    specs = coyo_lite()
+    per = -(-n // len(specs))
+    rows = [generate_source_rows(s, 0, per, seed=1) for s in specs]
+    mixed = pd.concat(rows).sort_values("row_idx", kind="stable").iloc[:n]
+    return llm_cost_fn(BACKBONES["llama-12b"])(mixed)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -120,13 +147,29 @@ class TestKarmarkarKarp:
         # conservation: every item lands exactly once
         assert np.isclose(B.bin_loads(costs, a, n_bins).sum(), costs.sum())
 
-    @given(COSTS, st.integers(min_value=1, max_value=9))
-    @example([5.0], 4)  # n = 1 < k: the final entry's other slots are empty
-    @example([0.0, 0.0, 0.0], 3)  # n = k, all tied
-    @example([3.0, 3.0], 9)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, costs, n_bins):
-        costs = np.asarray(costs, dtype=np.float64)
+    @given(
+        st.one_of(
+            st.tuples(COSTS, st.integers(min_value=1, max_value=9)),
+            kk_boundary_cases(),
+        )
+    )
+    @example(([5.0], 4))  # n = 1 < k: the final entry's other slots are empty
+    @example(([0.0, 0.0, 0.0], 3))  # n = k, all tied
+    @example(([3.0, 3.0], 9))
+    @example(([0.0, 1.0, 0.0], 4))  # explicit zero-cost slots ahead of empty ones
+    @settings(max_examples=600, deadline=None)
+    def test_matches_reference(self, case):
+        costs, n_bins = np.asarray(case[0], dtype=np.float64), case[1]
+        assert np.array_equal(
+            B.karmarkar_karp(costs, n_bins), reference.karmarkar_karp(costs, n_bins)
+        )
+
+    @pytest.mark.parametrize(
+        "n_items, n_bins",
+        [(2304, 32), (72, 4)],  # coyo_stream's two balancing levels
+    )
+    def test_matches_reference_on_coyo_costs(self, n_items, n_bins):
+        costs = coyo_costs(n_items)
         assert np.array_equal(
             B.karmarkar_karp(costs, n_bins), reference.karmarkar_karp(costs, n_bins)
         )

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
-from repro.core.constructor import DataConstructor, zigzag_cp_shards
+from repro.core.constructor import DataConstructor, _row_bytes, zigzag_cp_shards
 from repro.core.dgraph import DGraph, LoadingPlan, with_sample_id
 from repro.core.placetree import ClientPlaceTree
 from repro.core.planner import Planner
@@ -386,6 +386,44 @@ class TestConstructor:
                 pd.testing.assert_frame_equal(
                     g.sample_rows, w.sample_rows, check_index_type=True
                 )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),  # bucket
+                st.integers(0, 2),  # mb
+                st.integers(0, 3000),
+                st.integers(0, 3000),
+                st.integers(0, 10**6),  # sample_bytes, unrelated to the lengths
+            ),
+            max_size=30,
+        ),
+        st.sampled_from([1, 2, 4]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example([], 2, False, True)
+    @example([(0, 0, 5, 0, 7)], 4, True, False)
+    @settings(max_examples=100, deadline=None)
+    def test_payloads_match_reference(self, rows, cp, broadcast_tp, with_bytes):
+        # PP2 and TP2 give metadata, full and shard consumers, and TP ranks
+        # that broadcast_at("TP") excludes; with no sample_bytes column the
+        # bytes come from sample_payload_bytes
+        cols = ["bucket", "mb", "text_len", "image_patches", "sample_bytes"]
+        staged = pd.DataFrame(rows, columns=cols, dtype=np.int64)
+        if not with_bytes:
+            staged = staged.drop(columns="sample_bytes")
+        tree = ClientPlaceTree.from_degrees(pp=2, dp=2, cp=cp, tp=2)
+        plan = LoadingPlan(
+            assignments=staged, tree=tree, axis="DP", group_size=None, n_buckets=2,
+            n_microbatches=2, broadcast_dims=("TP",) if broadcast_tp else (),
+            lineage=(),
+        )
+        for b in range(2):
+            dc = DataConstructor(b, plan, 4096)
+            for mb in dc.build_microbatches(staged):
+                assert mb.n_bytes == _row_bytes(mb.sample_rows).sum()
+                assert dc.client_payloads(mb) == reference.client_payloads(dc, mb)
 
     def test_zigzag_shards(self):
         shards = zigzag_cp_shards(8, 2)
