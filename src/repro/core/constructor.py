@@ -15,9 +15,9 @@ was declared.
 
 Each constructor takes its bucket's rows out of the staged frame in one
 ``take``, ordered by microbatch. Every microbatch's ``sample_rows`` is a
-zero-copy slice of that one frame (re-indexed from 0), and its payload
-size, ``n_bytes``, is summed from a numpy column when the microbatch is
-built, so client payloads read no frame.
+zero-copy slice of that one frame (re-indexed from 0). Fused lengths and
+payload sizes (``n_bytes``) are read from the staged frame's numpy
+columns, so client payloads read no frame.
 """
 from __future__ import annotations
 
@@ -65,8 +65,8 @@ class Microbatch:
     ``sample_rows`` holds the samples that went in, in bucket order and
     indexed from 0; the constructor builds it as a slice of its bucket's
     frame, sharing that frame's data. ``n_bytes`` is their total payload
-    size; the constructor sums it from a column of its bucket's frame,
-    and when it is not given it is summed from ``sample_rows``."""
+    size; the constructor sums it from a column of the staged frame, and
+    when it is not given it is summed from ``sample_rows``."""
 
     index: int
     sequences: tuple[PackedSequence, ...]
@@ -133,28 +133,19 @@ class DataConstructor:
         text tokens + image tokens; sequences are packed FFD into
         context-length capacity with segment masks.
         """
+        mbs = staged["mb"].to_numpy()
         sel = np.flatnonzero(staged["bucket"].to_numpy() == self.bucket)
-        sel = sel[np.argsort(staged["mb"].to_numpy()[sel], kind="stable")]
+        sel = sel[np.argsort(mbs[sel], kind="stable")]
+        bounds = np.searchsorted(mbs[sel], np.arange(self.plan.n_microbatches + 1))
+        fused = staged["text_len"].to_numpy()[sel] + staged["image_patches"].to_numpy()[sel]
+        cum_bytes = np.concatenate(([0], np.cumsum(_row_bytes(staged)[sel]))).tolist()
         mine = staged.take(sel)
-        bounds = np.searchsorted(
-            mine["mb"].to_numpy(), np.arange(self.plan.n_microbatches + 1)
-        )
-        fused = mine["text_len"].to_numpy() + mine["image_patches"].to_numpy()
-        cum_bytes = np.concatenate(([0], np.cumsum(_row_bytes(mine)))).tolist()
         out = []
         for mb, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            rows = mine.iloc[s:e].set_axis(pd.RangeIndex(e - s), axis=0, copy=False)
-            seqs = (
-                tuple(pack_sequences(fused[s:e], self.context_length)) if e > s else ()
-            )
-            out.append(
-                Microbatch(
-                    index=mb,
-                    sequences=seqs,
-                    sample_rows=rows,
-                    n_bytes=cum_bytes[e] - cum_bytes[s],
-                )
-            )
+            rows = mine.iloc[s:e]
+            rows.index = pd.RangeIndex(e - s)
+            seqs = tuple(pack_sequences(fused[s:e], self.context_length))
+            out.append(Microbatch(mb, seqs, rows, n_bytes=cum_bytes[e] - cum_bytes[s]))
         return out
 
     # -- parallelism transformation --------------------------------------------

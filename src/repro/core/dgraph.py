@@ -223,42 +223,39 @@ class DGraph:
         ``plan`` runs inside ``applyInPandas`` and the in-process Planner
         runs on its metadata summary."""
         n_buckets = self.n_buckets
-        pdf = pdf.sort_values(["source_id", "row_idx"], kind="stable").reset_index(
-            drop=True
-        )
-        step = int(pdf["step"].iloc[0]) if len(pdf) else 0
+        sid = pdf["source_id"].to_numpy()
+        # rows in (source_id, row_idx) order; lexsort is stable
+        order = np.lexsort((pdf["row_idx"].to_numpy(), sid))
+        step = int(pdf["step"].to_numpy()[order[0]]) if len(pdf) else 0
 
         if self._schedule is not None:
+            # each source's quota is a prefix of its rows in that order
             counts = self._schedule.sample_counts(step, self._batch_size)
-            parts = []
-            for sid, grp in pdf.groupby("source_id", sort=True):
-                want = int(counts[int(sid)]) if int(sid) < len(counts) else 0
-                if want > 0:
-                    parts.append(grp.iloc[:want])
-            pdf = (
-                pd.concat(parts, ignore_index=True)
-                if parts
-                else pdf.iloc[0:0].reset_index(drop=True)
-            )
+            ids, first, size = np.unique(sid[order], return_index=True, return_counts=True)
+            # a source the schedule does not know gets no quota
+            want = np.append(counts, 0)[np.minimum(ids, len(counts))]
+            rank = np.arange(len(order)) - np.repeat(first, size)
+            order = order[rank < np.repeat(want, size)]
 
         # arrival order: a deterministic per-step shuffle. Unscheduled
         # loaders sample their quota independently per rank, so slot
         # composition is multinomial — a shuffle followed by round-robin
         # chunking reproduces that; sorting by row_idx would interleave
         # sources perfectly and flatter the Vanilla baseline.
-        if len(pdf):
-            g = np.random.default_rng(1_000_003 * step + 7)
-            pdf = pdf.iloc[g.permutation(len(pdf))].reset_index(drop=True)
+        g = np.random.default_rng(1_000_003 * step + 7)
+        order = order[g.permutation(len(order))]
+        out = pdf.take(order)
+        out.index = pd.RangeIndex(len(out))
 
         cost = (
-            np.asarray(self._cost_fn(pdf), dtype=np.float64)
+            np.asarray(self._cost_fn(out), dtype=np.float64)
             if self._cost_fn is not None
-            else np.ones(len(pdf))
+            else np.ones(len(out))
         )
-        if cost.shape != (len(pdf),):
+        if cost.shape != (len(out),):
             raise ValueError("cost function must return one cost per sample")
 
-        if self._balance_method is not None and len(pdf):
+        if self._balance_method is not None and len(out):
             bucket, mb = balance_two_level(
                 cost,
                 n_buckets,
@@ -267,11 +264,10 @@ class DGraph:
                 intra_reorder=self._intra_reorder,
             )
         else:
-            idx = np.arange(len(pdf))
+            idx = np.arange(len(out))
             bucket = idx % n_buckets
             mb = (idx // n_buckets) % self._n_microbatches
 
-        out = pdf.copy()
         out["cost"] = cost
         out["bucket"] = bucket.astype(np.int32)
         out["mb"] = mb.astype(np.int32)

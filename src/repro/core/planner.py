@@ -22,8 +22,9 @@ import pandas as pd
 from repro.core.constructor import DataConstructor
 from repro.core.dgraph import DGraph, LoadingPlan, sample_id
 from repro.core.placetree import ClientPlaceTree
-from repro.core.source_loader import SourceLoader
+from repro.core.source_loader import SUMMARY_COLS, SourceLoader
 from repro.data.mixture import MixSchedule, MovingAverageTracker
+from repro.data.sources import ROW_DTYPES, rows_frame
 
 
 @dataclass(frozen=True)
@@ -100,19 +101,20 @@ class Planner:
     # -- low-level interfaces (§4.2 "low-level programming interfaces") -------
 
     def summary_buffer(self) -> pd.DataFrame:
-        """Aggregate buffer metadata across loaders (workflow step 4)."""
-        frames = [
-            ld.summary_buffer().assign(_shard=ld.shard)
-            for ld in self.loaders
-            if not ld.failed
-        ]
-        out = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
-        if len(out):
-            out["sample_id"] = sample_id(
-                out["source_id"].astype("int64"), out["row_idx"].astype("int64")
-            )
-            out["step"] = self.step
-        return out
+        """Aggregate buffer metadata across live loaders (workflow step
+        4): one frame over their concatenated buffer columns, each row
+        tagged with its loader's shard, its ``sample_id`` and the step."""
+        live = [ld for ld in self.loaders if not ld.failed]
+        sizes = [ld.n_buffered for ld in live]
+        cols = {
+            c: np.concatenate([np.empty(0, ROW_DTYPES[c]), *(ld.buffer[c] for ld in live)])
+            for c in SUMMARY_COLS
+        }
+        cols["_shard"] = np.repeat(np.array([ld.shard for ld in live], np.int64), sizes)
+        cols["sample_id"] = sample_id(cols["source_id"].astype(np.int64), cols["row_idx"])
+        cols["step"] = np.full(sum(sizes), self.step, dtype=np.int64)
+        names = np.array([ld.spec.name for ld in live], dtype=object)
+        return rows_frame(np.repeat(names, sizes), cols)
 
     def plan_raw(self, summary: pd.DataFrame) -> pd.DataFrame:
         """Run the graph's per-step planning function over a metadata

@@ -6,6 +6,8 @@ file access state: a positional cursor over the source's Parquet
 dataset, a bounded read buffer of sample metadata, and the source's
 transformation pipeline. Dedicating loaders to sources is what removes
 the per-(worker, source) file-state replication of colocated loaders.
+Buffered and staged rows are typed numpy columns (``ROW_DTYPES``); rows
+leave as frames only through ``summary_buffer()`` and ``pop_staged()``.
 
 The data path is Spark: ``fill()`` reads the next cursor range from the
 source's Parquet file via a predicate-pushdown range scan. When the
@@ -28,7 +30,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from repro.data.sources import SourceSpec, generate_source_rows
+from repro.data.sources import ROW_DTYPES, SourceSpec, rows_frame, source_columns
 
 #: resident memory of one worker process context (interpreter + transform
 #: libraries + prefetch slot), GB — Fig. 4's "worker scaling" dimension
@@ -54,11 +56,19 @@ def actor_memory_gb(workers: int, state_gb: float) -> float:
     return workers * WORKER_BASE_GB + state_gb
 
 
+#: the buffer metadata the Planner plans over, besides the source name
+SUMMARY_COLS = ("source_id", "row_idx", "text_len", "image_patches")
+
+
+def _empty() -> dict[str, np.ndarray]:
+    return {c: np.empty(0, dtype=t) for c, t in ROW_DTYPES.items()}
+
+
 @dataclass
 class LoaderState:
     """Checkpointable state: cursor + staged/prepared progress. The read
-    buffer itself is *not* checkpointed (it is large); recovery re-reads
-    it from ``prepared_upto``, the first undelivered row."""
+    buffer's columns are *not* checkpointed (they are large); recovery
+    re-reads them from ``prepared_upto``, the first undelivered row."""
 
     cursor: int = 0
     prepared_upto: int = 0
@@ -104,66 +114,58 @@ class SourceLoader:
         self.buffer_capacity = buffer_capacity
         self.seed = seed
         self.state = LoaderState()
-        self._buffer = pd.DataFrame()
-        self._staged: list[pd.DataFrame] = []
+        self._buffer = _empty()
+        self._staged: list[dict[str, np.ndarray]] = []
         self.failed = False
 
     # -- ingestion -----------------------------------------------------------
 
-    def _read_range(self, start: int, count: int) -> pd.DataFrame:
+    def _read_range(self, start: int, count: int) -> dict[str, np.ndarray]:
         """Rows [start, start+count) of *this shard's* row stream."""
         # shard-local position i maps to global row_idx = i * n_shards + shard
         lo = start * self.n_shards + self.shard
         hi = (start + count) * self.n_shards + self.shard
-        if self.path is not None:
-            pdf = (
-                self.spark.read.parquet(self.path)
-                .filter(
-                    (F.col("row_idx") >= lo)
-                    & (F.col("row_idx") < hi)
-                    & (F.col("row_idx") % self.n_shards == self.shard)
-                )
-                .orderBy("row_idx")
-                .toPandas()
-            )
-        else:
-            pdf = generate_source_rows(self.spec, lo, hi - lo, seed=self.seed)
-            pdf = pdf[pdf["row_idx"] % self.n_shards == self.shard].reset_index(
-                drop=True
-            )
-        return pdf
+        if self.path is None:
+            idx = np.arange(lo, hi, self.n_shards, dtype=np.int64)
+            return source_columns(self.spec, idx, seed=self.seed)
+        row = F.col("row_idx")
+        pdf = (
+            self.spark.read.parquet(self.path)
+            .filter((row >= lo) & (row < hi) & (row % self.n_shards == self.shard))
+            .orderBy("row_idx")
+            .toPandas()
+        )
+        return {c: pdf[c].to_numpy(dtype=t) for c, t in ROW_DTYPES.items()}
 
     def fill(self, n: int) -> int:
         """Read up to ``n`` new samples into the buffer (bounded by
         capacity); returns the number actually read. Workflow step 6."""
         if self.failed:
             raise RuntimeError(f"loader for {self.spec.name} has failed")
-        room = self.buffer_capacity - len(self._buffer)
-        n = min(n, room)
+        n = min(n, self.buffer_capacity - self.n_buffered)
         if n <= 0:
             return 0
-        pdf = self._read_range(self.state.cursor, n)
+        new = self._read_range(self.state.cursor, n)
         self.state.cursor += n
-        self._buffer = pd.concat([self._buffer, pdf], ignore_index=True)
-        return len(pdf)
+        self._buffer = {c: np.concatenate((v, new[c])) for c, v in self._buffer.items()}
+        return len(new["row_idx"])
 
     # -- planner interface ---------------------------------------------------
 
     @property
     def n_buffered(self) -> int:
         """Samples in the read buffer."""
-        return len(self._buffer)
+        return len(self._buffer["row_idx"])
+
+    @property
+    def buffer(self) -> dict[str, np.ndarray]:
+        """The read buffer's typed columns, oldest row first; read only."""
+        return self._buffer
 
     def summary_buffer(self) -> pd.DataFrame:
         """Lightweight buffer metadata for the Planner: sample indices,
         source signature, token lengths. No payloads cross this path."""
-        if self._buffer.empty:
-            return pd.DataFrame(
-                columns=["source_id", "source", "row_idx", "text_len", "image_patches"]
-            )
-        return self._buffer[
-            ["source_id", "source", "row_idx", "text_len", "image_patches"]
-        ].copy()
+        return rows_frame(self.spec.name, {c: self._buffer[c] for c in SUMMARY_COLS})
 
     def prepare(self, row_idxs: list[int]) -> float:
         """Execute a loading plan: pop the named samples from the read
@@ -177,7 +179,7 @@ class SourceLoader:
         if self.failed:
             raise RuntimeError(f"loader for {self.spec.name} has failed")
         wanted = np.sort(np.asarray(row_idxs, dtype=np.int64))
-        have = self._buffer["row_idx"].to_numpy() if self.n_buffered else wanted[:0]
+        have = self._buffer["row_idx"]
         if not np.array_equal(have[: len(wanted)], wanted):
             missing = np.setdiff1d(wanted, have)
             if len(missing):
@@ -186,19 +188,19 @@ class SourceLoader:
                     f"{missing[:5].tolist()}..."
                 )
             raise ValueError(f"{self.spec.name}: plan skips rows at the buffer's head")
-        self._staged.append(self._buffer.iloc[: len(wanted)].reset_index(drop=True))
-        self._buffer = self._buffer.iloc[len(wanted) :].reset_index(drop=True)
-        if len(wanted):
+        k = len(wanted)
+        self._staged.append({c: v[:k] for c, v in self._buffer.items()})
+        self._buffer = {c: v[k:] for c, v in self._buffer.items()}
+        if k:
             self.state.prepared_upto = int(wanted[-1]) + 1
-        return self.transform_latency(len(wanted))
+        return self.transform_latency(k)
 
     def pop_staged(self) -> pd.DataFrame:
-        """Constructor-side fetch of everything staged so far."""
-        if not self._staged:
-            return pd.DataFrame(columns=self._buffer.columns)
-        out = pd.concat(self._staged, ignore_index=True)
-        self._staged = []
-        return out
+        """Constructor-side fetch of everything staged so far, as one
+        frame with the columns of ``sources.generate_source_rows``."""
+        staged, self._staged = self._staged or [_empty()], []
+        cols = {c: np.concatenate([s[c] for s in staged]) for c in ROW_DTYPES}
+        return rows_frame(self.spec.name, cols)
 
     # -- cost accounting -----------------------------------------------------
 
@@ -211,11 +213,7 @@ class SourceLoader:
         """Resident memory: worker contexts + this shard's file access
         state + buffered sample bytes."""
         file_state = shard_state_gb(self.spec.file_state_gb, self.n_shards)
-        buffered = (
-            float(self._buffer["sample_bytes"].sum()) / 1e9
-            if not self._buffer.empty
-            else 0.0
-        )
+        buffered = float(self._buffer["sample_bytes"].sum()) / 1e9
         return actor_memory_gb(self.workers, file_state) + buffered
 
     # -- fault tolerance -----------------------------------------------------
@@ -234,7 +232,7 @@ class SourceLoader:
         self.state = LoaderState(
             cursor=ckpt["cursor"], prepared_upto=ckpt["prepared_upto"]
         )
-        self._buffer = pd.DataFrame()
+        self._buffer = _empty()
         self._staged = []
         self.failed = False
 
@@ -252,5 +250,5 @@ class SourceLoader:
     def fail(self) -> None:
         """Inject a failure (for fault-tolerance experiments)."""
         self.failed = True
-        self._buffer = pd.DataFrame()
+        self._buffer = _empty()
         self._staged = []

@@ -21,8 +21,8 @@ so this module generates seed-deterministic synthetic equivalents whose
 Every row is a counter-based hash of (seed, source, row index), so a
 range of rows is the same whoever generates it and in whatever pieces —
 a requirement for the DuckDB oracle and for Source Loaders that re-read
-ranges after failures. One generator, :func:`generate_source_rows`,
-backs Source Loader reads, the Parquet sources, and the small Spark
+ranges after failures. One generator, :func:`source_columns`, backs
+Source Loader reads, the Parquet sources, and the small Spark
 buffers E2 plans over (a local relation: the buffers are a few thousand
 rows, so Spark's work starts at planning, not at generation).
 """
@@ -204,17 +204,21 @@ def sample_payload_bytes(text_len: np.ndarray, image_patches: np.ndarray) -> np.
 MAX_TEXT_LEN = 1 << 20
 
 
-def generate_source_rows(
-    spec: SourceSpec,
-    start: int,
-    count: int,
-    *,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """Rows [start, start+count) of a source — the one generator behind
-    Spark buffers, Parquet sources and Source Loader reads and re-reads
-    (replay after failure), so samples are bit-identical whoever asks."""
-    idx = np.arange(start, start + count, dtype=np.int64)
+#: numpy dtypes of ``SAMPLE_SCHEMA``'s columns but ``source``, a source's constant name
+ROW_DTYPES = {
+    f.name: np.int32 if f.dataType == T.IntegerType() else np.int64
+    for f in SAMPLE_SCHEMA.fields if f.name != "source"
+}
+
+
+def source_columns(
+    spec: SourceSpec, row_idx: np.ndarray, *, seed: int = 0
+) -> dict[str, np.ndarray]:
+    """Rows ``row_idx`` of a source as typed columns (:data:`ROW_DTYPES`)
+    — the one generator behind Spark buffers, Parquet sources and Source
+    Loader reads and re-reads (replay after failure), so samples are
+    bit-identical whoever asks."""
+    idx = np.asarray(row_idx, dtype=np.int64)
     u_mix = hash_uniform(seed, spec.source_id * 4 + 0, idx)
     u_short = hash_uniform(seed, spec.source_id * 4 + 1, idx)
     u_tail = hash_uniform(seed, spec.source_id * 4 + 2, idx)
@@ -227,17 +231,26 @@ def generate_source_rows(
     patches = _pareto_from_u(u_img, spec.img_patch_mode, spec.img_tail_alpha)
     patches = np.clip(patches, 16, 16384).astype(np.int32)
 
-    sample_bytes = sample_payload_bytes(text, patches)
-    return pd.DataFrame(
-        {
-            "source_id": np.full(len(idx), spec.source_id, dtype=np.int32),
-            "source": spec.name,
-            "row_idx": idx.astype(np.int64),
-            "text_len": text,
-            "image_patches": patches,
-            "sample_bytes": sample_bytes,
-        }
-    )
+    return {
+        "source_id": np.full(len(idx), spec.source_id, dtype=np.int32),
+        "row_idx": idx,
+        "text_len": text,
+        "image_patches": patches,
+        "sample_bytes": sample_payload_bytes(text, patches),
+    }
+
+
+def rows_frame(source: str | np.ndarray, columns: dict[str, np.ndarray]) -> pd.DataFrame:
+    """A frame of row ``columns`` with ``source`` (one name, or one per
+    row) after ``source_id``, as in ``SAMPLE_SCHEMA``."""
+    return pd.DataFrame({"source_id": columns["source_id"], "source": source, **columns})
+
+
+def generate_source_rows(
+    spec: SourceSpec, start: int, count: int, *, seed: int = 0
+) -> pd.DataFrame:
+    """Rows [start, start+count) of a source as a frame (:func:`source_columns`)."""
+    return rows_frame(spec.name, source_columns(spec, np.arange(start, start + count), seed=seed))
 
 
 def generate_samples(

@@ -3,6 +3,9 @@ faster versions against, result for result.
 
 - :func:`karmarkar_karp` — k-way largest differencing that copies the
   item lists behind every slot on each merge.
+- :func:`plan_step` — a DGraph's per-step planning function with the mix
+  done on frames: sort, one group per source, concatenated prefixes, a
+  shuffled ``iloc`` and a copy.
 - :func:`build_microbatches` — a Data Constructor's microbatches, one
   boolean filter and one copied frame per microbatch.
 - :func:`client_payloads` — a microbatch's client payloads, its bytes
@@ -18,7 +21,7 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 
-from repro.core.balance import _validate, pack_sequences
+from repro.core.balance import _validate, balance_two_level, pack_sequences
 from repro.core.constructor import (
     ClientPayload,
     DataConstructor,
@@ -26,6 +29,7 @@ from repro.core.constructor import (
     _row_bytes,
     zigzag_cp_shards,
 )
+from repro.core.dgraph import DGraph
 from repro.core.placetree import ClientPlaceTree
 
 
@@ -66,6 +70,55 @@ def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
         for i in bucket:
             assign[i] = b
     return assign
+
+
+def plan_step(graph: DGraph, pdf: pd.DataFrame) -> pd.DataFrame:
+    n_buckets = graph.n_buckets
+    pdf = pdf.sort_values(["source_id", "row_idx"], kind="stable").reset_index(
+        drop=True
+    )
+    step = int(pdf["step"].iloc[0]) if len(pdf) else 0
+
+    if graph._schedule is not None:
+        counts = graph._schedule.sample_counts(step, graph._batch_size)
+        parts = []
+        for sid, grp in pdf.groupby("source_id", sort=True):
+            want = int(counts[int(sid)]) if int(sid) < len(counts) else 0
+            if want > 0:
+                parts.append(grp.iloc[:want])
+        pdf = (
+            pd.concat(parts, ignore_index=True)
+            if parts
+            else pdf.iloc[0:0].reset_index(drop=True)
+        )
+
+    if len(pdf):
+        g = np.random.default_rng(1_000_003 * step + 7)
+        pdf = pdf.iloc[g.permutation(len(pdf))].reset_index(drop=True)
+
+    cost = (
+        np.asarray(graph._cost_fn(pdf), dtype=np.float64)
+        if graph._cost_fn is not None
+        else np.ones(len(pdf))
+    )
+    if graph._balance_method is not None and len(pdf):
+        bucket, mb = balance_two_level(
+            cost,
+            n_buckets,
+            graph._n_microbatches,
+            method=graph._balance_method,
+            intra_reorder=graph._intra_reorder,
+        )
+    else:
+        idx = np.arange(len(pdf))
+        bucket = idx % n_buckets
+        mb = (idx // n_buckets) % graph._n_microbatches
+
+    out = pdf.copy()
+    out["cost"] = cost
+    out["bucket"] = bucket.astype(np.int32)
+    out["mb"] = mb.astype(np.int32)
+    return out
 
 
 def build_microbatches(

@@ -1,6 +1,9 @@
 """Tests for the DGraph data plane: primitives, planning, lineage."""
 import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.core.dgraph import DGraph, with_sample_id
@@ -8,6 +11,7 @@ from repro.core.placetree import AXIS_WORLD, ClientPlaceTree
 from repro.data.mixture import ConstantSchedule
 from repro.data.sources import coyo_lite, generate_samples
 from repro.oracle import assert_equivalent
+from tests import reference
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +175,54 @@ class TestPlanExecution:
             "FROM plan GROUP BY step, bucket",
             plan=plan.assignments,
         )
+
+
+class TestStepFunction:
+    """``graph(pdf)`` mixes with one index over the summary's columns; it
+    equals the frame-based step function in ``tests/reference.py``."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6),  # source_id: 5 and 6 have no quota
+                st.integers(0, 40),  # row_idx, in any order, repeats allowed
+                st.integers(1, 4000),
+                st.integers(16, 3000),
+            ),
+            max_size=60,
+        ),
+        # a zero weight makes a source absent from the mix
+        st.lists(st.integers(0, 3), min_size=5, max_size=5).filter(any),
+        st.integers(1, 80),  # batch size: quotas may exceed the buffered rows
+        st.integers(0, 5),
+        st.sampled_from([None, "greedy", "karmarkar_karp"]),
+        st.integers(1, 3),
+    )
+    @example([], [1] * 5, 10, 0, "karmarkar_karp", 2)
+    @example([(6, 3, 10, 16), (5, 0, 7, 20)], [1] * 5, 10, 1, None, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_frame_reference(self, rows, weights, batch, step, method, n_mb):
+        sid, row_idx, text_len, patches = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        pdf = pd.DataFrame({
+            "source_id": sid.astype(np.int32),
+            "source": [f"s{i}" for i in sid],
+            "row_idx": row_idx,
+            "text_len": text_len.astype(np.int32),
+            "image_patches": patches.astype(np.int32),
+            "sample_id": sid * (1 << 40) + row_idx,
+            "step": np.full(len(sid), step, dtype=np.int64),
+        })
+        graph = (
+            DGraph(("text_len", "image_patches"))
+            .mix(ConstantSchedule(weights), batch)
+            .distribute("DP", ClientPlaceTree.from_degrees(dp=3), n_microbatches=n_mb)
+            .cost(simple_cost)
+        )
+        if method is not None:
+            graph = graph.balance(method)
+        got = graph(pdf)
+        want = reference.plan_step(graph, pdf)
+        pd.testing.assert_frame_equal(got, want, check_index_type=True)
 
 
 class TestConsumers:

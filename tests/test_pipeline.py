@@ -239,6 +239,25 @@ class TestPlannerWorkflow:
         expect = with_sample_id(keys).toPandas()["sample_id"]
         assert summary["sample_id"].tolist() == expect.tolist()
 
+    @pytest.mark.parametrize("empty", ["fresh", "restored"])
+    def test_summary_dtypes_with_an_empty_loader(self, empty):
+        loaders = self._loaders()
+        pl = make_planner(loaders)
+        if empty == "fresh":
+            for ld in loaders[1:]:
+                ld.fill(20)
+        else:
+            pl.ensure_buffered(20)
+            loaders[2].restore(loaders[2].checkpoint())
+        summary = pl.summary_buffer()
+        assert len(summary) == 80
+        assert summary.dtypes.astype(str).to_dict() == {
+            "source_id": "int32", "source": "object", "row_idx": "int64",
+            "text_len": "int32", "image_patches": "int32", "_shard": "int64",
+            "sample_id": "int64", "step": "int64",
+        }
+        assert pl.plan_raw(summary)["source_id"].dtype == np.int32
+
     def test_empty_buffer_raises(self):
         pl = make_planner(self._loaders())
         with pytest.raises(RuntimeError):
@@ -356,12 +375,14 @@ class TestConstructor:
                 st.integers(0, 3000),
             ),
             max_size=40,
-        )
+        ),
+        st.randoms(use_true_random=False),
+        st.booleans(),
     )
-    @example([])
-    @example([(0, 1, 10, 0)])  # microbatch 0 of bucket 0 is empty
+    @example([], None, True)
+    @example([(0, 1, 10, 0)], None, False)  # microbatch 0 of bucket 0 is empty
     @settings(max_examples=100, deadline=None)
-    def test_microbatches_match_reference(self, rows):
+    def test_microbatches_match_reference(self, rows, rnd, with_bytes):
         n_mb, ctx = 3, 4096
         staged = pd.DataFrame(
             rows, columns=["bucket", "mb", "text_len", "image_patches"], dtype=np.int64
@@ -372,6 +393,15 @@ class TestConstructor:
             bucket=staged["bucket"].astype(np.int32),
             mb=staged["mb"].astype(np.int32),
         )
+        if with_bytes:  # bytes unrelated to the lengths
+            staged["sample_bytes"] = np.arange(len(rows), dtype=np.int64) * 1013
+        # rows in shuffled order under their old labels, columns in any order
+        cols = list(staged.columns)
+        if rnd is not None:
+            rnd.shuffle(cols)
+            staged = staged.iloc[rnd.sample(range(len(rows)), len(rows))]
+        staged = staged[cols]
+        before = staged.copy()
         tree = ClientPlaceTree.from_degrees(dp=4)
         plan = LoadingPlan(
             assignments=staged, tree=tree, axis="DP", group_size=None, n_buckets=4,
@@ -382,10 +412,11 @@ class TestConstructor:
             want = reference.build_microbatches(staged, b, n_mb, ctx)
             assert len(got) == len(want) == n_mb
             for g, w in zip(got, want):
-                assert (g.index, g.sequences) == (w.index, w.sequences)
+                assert (g.index, g.sequences, g.n_bytes) == (w.index, w.sequences, w.n_bytes)
                 pd.testing.assert_frame_equal(
                     g.sample_rows, w.sample_rows, check_index_type=True
                 )
+        pd.testing.assert_frame_equal(staged, before, check_index_type=True)
 
     @given(
         st.lists(

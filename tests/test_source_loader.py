@@ -102,6 +102,28 @@ class TestPrepare:
         ld.pop_staged()
         assert len(ld.pop_staged()) == 0
 
+    @pytest.mark.parametrize("how", ["fresh", "failed", "restored", "drained"])
+    def test_empty_frames_keep_typed_columns(self, spec, how):
+        """With nothing staged or buffered, both frames still carry the
+        generator's columns and dtypes."""
+        ld = SourceLoader(spec)
+        if how != "fresh":
+            ld.fill(5)
+            ld.prepare([0, 1])
+        if how == "failed":
+            ld.fail()
+        elif how == "restored":
+            ld.restore(ld.checkpoint())
+        elif how == "drained":
+            ld.prepare([2, 3, 4])
+            ld.pop_staged()
+        none = generate_source_rows(spec, 0, 0)
+        pd.testing.assert_frame_equal(ld.pop_staged(), none)
+        pd.testing.assert_frame_equal(
+            ld.summary_buffer(),
+            none[["source_id", "source", "row_idx", "text_len", "image_patches"]],
+        )
+
     def test_latency_amortised_by_workers(self, spec):
         slow = SourceLoader(spec, workers=1)
         fast = SourceLoader(spec, workers=4)
