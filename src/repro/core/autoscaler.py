@@ -174,9 +174,13 @@ class MixtureScaler:
         return out
 
     def reshard_plan(self, event: ScaleEvent) -> list[tuple[int, int]]:
-        """Live resharding assignment after a scale event: (shard,
-        n_shards) per actor — actor i serves rows with
-        row_idx % n_shards == i, so re-partitioning is a pure metadata
-        change and no data moves."""
+        """Resharding assignment after a scale event: (shard, n_shards)
+        per actor — actor i serves rows with row_idx % n_shards == i.
+        The assignment itself moves no data, but loader cursors are
+        shard-local (``row_idx = pos * n_shards + shard``), so a new
+        assignment is exactly-once only when applied at a point where
+        every old shard has delivered the same prefix of the source
+        (e.g. before the source's first read); a mid-stream reshard
+        needs a handoff that this method does not make."""
         n = event.new_n_actors
         return [(i, n) for i in range(n)]

@@ -114,7 +114,9 @@ class Planner:
         cols["sample_id"] = sample_id(cols["source_id"].astype(np.int64), cols["row_idx"])
         cols["step"] = np.full(sum(sizes), self.step, dtype=np.int64)
         names = np.array([ld.spec.name for ld in live], dtype=object)
-        return rows_frame(np.repeat(names, sizes), cols)
+        # copy() consolidates the columns into one block per dtype: the
+        # mix's take and every constructor's take and slices run per block
+        return rows_frame(np.repeat(names, sizes), cols).copy()
 
     def plan_raw(self, summary: pd.DataFrame) -> pd.DataFrame:
         """Run the graph's per-step planning function over a metadata

@@ -9,9 +9,11 @@ The paper shows two worked strategies built from the primitives:
   world-wide for the encoder and balanced over the samples the backbone
   plan admitted (five additional lines in the paper). Both graphs plan
   in one per-step function that emits one routing table with separate
-  (bucket, mb) columns per module — the Data Constructor routes
-  text/fused sequences by the ``llm_*`` columns and raw images by the
-  ``enc_*`` columns.
+  (bucket, mb) columns per module: ``llm_*`` for the text/fused
+  sequences and ``enc_*`` for the raw images. The ``enc_*`` columns
+  feed only ``trainsim`` (E2's step-time simulation); the in-process
+  ``DataConstructor`` builds backbone microbatches from single-module
+  ``bucket``/``mb`` plans and builds no encoder microbatch.
 """
 from __future__ import annotations
 

@@ -165,7 +165,7 @@ class SourceLoader:
     def summary_buffer(self) -> pd.DataFrame:
         """Lightweight buffer metadata for the Planner: sample indices,
         source signature, token lengths. No payloads cross this path."""
-        return rows_frame(self.spec.name, {c: self._buffer[c] for c in SUMMARY_COLS})
+        return rows_frame(self.spec.name, {c: self._buffer[c].copy() for c in SUMMARY_COLS})
 
     def prepare(self, row_idxs: list[int]) -> float:
         """Execute a loading plan: pop the named samples from the read

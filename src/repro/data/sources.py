@@ -242,8 +242,12 @@ def source_columns(
 
 def rows_frame(source: str | np.ndarray, columns: dict[str, np.ndarray]) -> pd.DataFrame:
     """A frame of row ``columns`` with ``source`` (one name, or one per
-    row) after ``source_id``, as in ``SAMPLE_SCHEMA``."""
-    return pd.DataFrame({"source_id": columns["source_id"], "source": source, **columns})
+    row) after ``source_id``, as in ``SAMPLE_SCHEMA``. The frame takes
+    the arrays without copying them, so callers pass arrays nothing else
+    writes to."""
+    return pd.DataFrame(
+        {"source_id": columns["source_id"], "source": source, **columns}, copy=False
+    )
 
 
 def generate_source_rows(

@@ -21,13 +21,8 @@ import numpy as np
 
 from repro.core.autoscaler import ResourcePool, auto_partition, total_cpu_demand
 from repro.data.sources import SourceSpec, generate_source_rows, navit_100, navit_lite
-from repro.sim.memsim import (
-    ClusterConfig,
-    avg_mem_per_node,
-    colocated_memory,
-    overlord_memory,
-)
-from repro.sim.netsim import FeedTrace, demand_per_iteration_s, feed_simulation
+from repro.sim.memsim import ClusterConfig, colocated_memory, overlord_memory
+from repro.sim.netsim import demand_per_iteration_s, feed_simulation
 
 SAMPLES_PER_GPU = 72
 ITER_BUDGET_S = 20.0  # training iteration length the fetch must hide under
@@ -89,68 +84,36 @@ def run_config(
     )
     auto_cfgs = auto_partition(specs, pool)
 
-    rows: list[E1Row] = []
+    def overlord_gb(**kwargs) -> float:
+        over = overlord_memory(specs, cluster, batch_bytes_per_group=batch_bytes, **kwargs)
+        return sum(over.values())
 
-    def feed(demand_s: float, n_workers: int, label_seed: int) -> FeedTrace:
-        return feed_simulation(
-            demand_s=demand_s,
-            n_workers=max(1, n_workers),
-            iter_budget_s=ITER_BUDGET_S,
-            n_iters=n_iters,
-            seed=seed + label_seed,
-        )
-
-    # Colocated: one loader per (DP,CP,PP) rank, each with colo_workers
-    # reader processes. Every CP rank of a group transforms the complete
-    # group batch (Fig. 6's redundancy), so transform demand is
-    # multiplied by the CP degree — the mechanism behind the 576-GPU
-    # fetch fluctuations.
-    colo_mem = avg_mem_per_node(
-        colocated_memory(
-            specs,
-            cluster,
-            workers=colo_workers,
-            batch_bytes_per_group=batch_bytes,
-        ),
-        cluster.n_nodes,
-    )
-    tr = feed(demand * cluster.cp, cluster.n_loader_ranks * colo_workers, 1)
-    rows.append(
-        E1Row("colocated", n_gpus, dataset, colo_mem, tr.mean, tr.std, tr.stable)
-    )
-
-    # OVERLORD-Vanilla: one all-source actor per DP group. Its worker
-    # pool scales with DP, so at 576 GPUs (DP shrinks from 18 to 9 while
-    # data volume doubles) it cannot keep up — the paper's "failed to
-    # continuously feed the data".
-    van_mem = avg_mem_per_node(
-        overlord_memory(
-            specs,
-            cluster,
-            batch_bytes_per_group=batch_bytes,
-            vanilla_workers=VANILLA_WORKERS,
-        ),
-        cluster.n_nodes,
-    )
-    tr = feed(demand, cluster.dp * VANILLA_WORKERS, 2)
-    rows.append(
-        E1Row("overlord-vanilla", n_gpus, dataset, van_mem, tr.mean, tr.std, tr.stable)
-    )
-
-    # OVERLORD-auto: per-source autoscaled actors.
-    auto_mem = avg_mem_per_node(
-        overlord_memory(
-            specs,
-            cluster,
-            batch_bytes_per_group=batch_bytes,
-            configs=auto_cfgs,
-        ),
-        cluster.n_nodes,
-    )
-    tr = feed(demand, total_cpu_demand(auto_cfgs), 3)
-    rows.append(
-        E1Row("overlord-auto", n_gpus, dataset, auto_mem, tr.mean, tr.std, tr.stable)
-    )
+    # (system, total memory GB, feed workers, fetch demand s); the i-th
+    # system's feed runs at seed + i
+    systems = [
+        # Colocated: one loader per (DP,CP,PP) rank, each with colo_workers
+        # reader processes. Every CP rank of a group transforms the complete
+        # group batch (Fig. 6's redundancy), so transform demand is
+        # multiplied by the CP degree — the mechanism behind the 576-GPU
+        # fetch fluctuations.
+        ("colocated",
+         colocated_memory(specs, cluster, workers=colo_workers, batch_bytes_per_group=batch_bytes),
+         cluster.n_loader_ranks * colo_workers, demand * cluster.cp),
+        # OVERLORD-Vanilla: one all-source actor per DP group. Its worker
+        # pool scales with DP, so at 576 GPUs (DP shrinks from 18 to 9 while
+        # data volume doubles) it cannot keep up — the paper's "failed to
+        # continuously feed the data".
+        ("overlord-vanilla", overlord_gb(vanilla_workers=VANILLA_WORKERS),
+         cluster.dp * VANILLA_WORKERS, demand),
+        # OVERLORD-auto: per-source autoscaled actors.
+        ("overlord-auto", overlord_gb(configs=auto_cfgs), total_cpu_demand(auto_cfgs), demand),
+    ]
+    rows = []
+    for i, (system, total_gb, n_workers, demand_s) in enumerate(systems, start=1):
+        tr = feed_simulation(demand_s=demand_s, n_workers=max(1, n_workers),
+                             iter_budget_s=ITER_BUDGET_S, n_iters=n_iters, seed=seed + i)
+        mem = total_gb / cluster.n_nodes
+        rows.append(E1Row(system, n_gpus, dataset, mem, tr.mean, tr.std, tr.stable))
     return rows
 
 

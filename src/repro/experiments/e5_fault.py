@@ -77,6 +77,11 @@ def loader_panel(
 RECOVERY_PATHS = ("shadow", "replay")
 
 
+def _sorted_pairs(rows: pd.DataFrame) -> np.ndarray:
+    """``(source_id, row_idx)`` pairs of ``rows`` in sorted order."""
+    return rows.sort_values(["source_id", "row_idx"]).to_numpy(np.int64)
+
+
 def delivered_stream(
     n_steps: int,
     *,
@@ -90,9 +95,11 @@ def delivered_stream(
     """Run the §3 loop of a real Planner over coyo loaders (``n_shards``
     Source-Parallel shards per source), with shadows synced and
     differential checkpoints taken every step, and return the delivered
-    ``(source_id, row_idx)`` stream. The mixture is uniform until step 3,
-    where the first source takes half the batch, so a step planned out
-    of turn changes the stream. Before step ``kill_at`` each
+    ``(source_id, row_idx)`` stream. Each step pops every loader's staged
+    rows, as the Data Constructors would, and raises ``RuntimeError`` if
+    they are not the rows the step planned. The mixture is uniform until
+    step 3, where the first source takes half the batch, so a step
+    planned out of turn changes the stream. Before step ``kill_at`` each
     ``(loader index, path)`` in ``kills`` is killed and recovered by its
     path: a ``"shadow"`` promotion or a checkpoint ``"replay"``; with
     ``restart_planner`` the Planner is replaced by a new one, over a new
@@ -130,7 +137,11 @@ def delivered_stream(
                 else:
                     raise ValueError(f"unknown recovery path {path!r}")
         pl.ensure_buffered(60)
-        stream.append(pl.plan_step().assignments[["source_id", "row_idx"]])
+        planned = pl.plan_step().assignments[["source_id", "row_idx"]]
+        staged = pd.concat([ld.pop_staged() for ld in pl.loaders])[["source_id", "row_idx"]]
+        if not np.array_equal(_sorted_pairs(staged), _sorted_pairs(planned)):
+            raise RuntimeError(f"step {step}: staged rows differ from the plan")
+        stream.append(planned)
         if loss_adaptive:
             pl.schedule.update(1.0 + 2.0 * (np.arange(n) == step % n))
         for sh in shadows:

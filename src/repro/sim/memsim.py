@@ -18,20 +18,16 @@ buffers are replicated*:
   (§5.1); each actor holds only its own source's state, sharded across
   the source's actors.
 
-The model is closed-form accounting over at most a few thousand actors,
-so it is plain numpy/pandas: one row per loader instance or actor,
-summed per node. The per-actor and per-shard terms are the ones the
-real :class:`~repro.core.source_loader.SourceLoader` and the
-AutoScaler's memory fitting use; tests diff the per-node sums against
-DuckDB SQL over the same rows via the oracle.
+The model is closed-form accounting: ``colocated_memory`` and
+``overlord_memory`` return cluster-wide totals in GB, since E1 reports
+average memory per node (total / nodes) and E3 the ratio of two totals. The per-actor and per-shard terms are
+the ones the real :class:`~repro.core.source_loader.SourceLoader` and
+the AutoScaler's memory fitting use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-import pandas as pd
 
 from repro.core.autoscaler import LoaderConfig
 from repro.core.source_loader import WORKER_BASE_GB, actor_memory_gb, shard_state_gb
@@ -82,29 +78,19 @@ def colocated_instance_gb(workers: int, states_gb: float, batch_bytes: float) ->
     return workers * (WORKER_BASE_GB + states_gb) + PREFETCH * batch_bytes / 1e9
 
 
-def _loader_ranks(cluster: ClusterConfig) -> pd.DataFrame:
-    """One row per colocated loader instance, with its hosting node."""
-    n = cluster.n_loader_ranks
-    stride = cluster.world / n  # loader ranks spread uniformly over GPUs
-    rank = np.arange(n, dtype=np.int64)
-    gpu = (rank * stride).astype(np.int64)
-    return pd.DataFrame({"loader_rank": rank, "node": gpu // cluster.gpus_per_node})
-
-
 def colocated_memory(
     specs: Sequence[SourceSpec],
     cluster: ClusterConfig,
     *,
     workers: int,
     batch_bytes_per_group: float,
-) -> pd.DataFrame:
-    """Per-node memory (GB) of the colocated baseline: columns
-    ``node, mem_gb``, one row per node hosting a loader instance."""
+) -> float:
+    """Total memory (GB) of the colocated baseline: one loader instance
+    per loader rank."""
     states = sum(s.file_state_gb for s in specs)
-    ranks = _loader_ranks(cluster).assign(
-        mem_gb=colocated_instance_gb(workers, states, batch_bytes_per_group)
+    return cluster.n_loader_ranks * colocated_instance_gb(
+        workers, states, batch_bytes_per_group
     )
-    return ranks.groupby("node", as_index=False)["mem_gb"].sum()
 
 
 def overlord_memory(
@@ -115,14 +101,13 @@ def overlord_memory(
     configs: Sequence[LoaderConfig] | None = None,
     vanilla_workers: int = 4,
     worker_process_states: bool = False,
-) -> pd.DataFrame:
-    """Per-node, per-component memory (GB) of an OVERLORD deployment:
-    columns ``node, component, mem_gb``.
+) -> dict[str, float]:
+    """Total memory (GB) of an OVERLORD deployment per component:
+    'loader', 'constructor' and 'planner'.
 
     ``configs=None`` → Vanilla (one all-source actor per DP group with
     ``vanilla_workers`` workers); otherwise the AutoScaler's per-source
-    actor configs. Components: 'loader', 'constructor', 'planner'.
-    Actors round-robin over nodes (sidecar deployment, §6.2).
+    actor configs.
 
     ``worker_process_states=False`` (real OVERLORD) holds file states
     once per actor — its workers only transform. ``True`` replicates
@@ -138,40 +123,26 @@ def overlord_memory(
 
     if configs is None:
         states = sum(s.file_state_gb for s in specs)
-        loaders = [actor_gb(vanilla_workers, states)] * cluster.dp
+        loaders = cluster.dp * actor_gb(vanilla_workers, states)
     else:
         state_of = {s.source_id: s.file_state_gb for s in specs}
-        loaders = [
-            actor_gb(
+        loaders = sum(
+            cfg.n_actors
+            * actor_gb(
                 cfg.workers_per_actor,
                 shard_state_gb(state_of[cfg.source_id], cfg.n_actors),
             )
             for cfg in configs
-            for _ in range(cfg.n_actors)
-        ]
+        )
 
     # one constructor per DP group: base + PREFETCH in-flight batch copies
     # + one staging copy for cross-node communication
     constructor = CONSTRUCTOR_BASE_GB + (PREFETCH + 1) * batch_bytes_per_group / 1e9
-
-    def placed(component: str, mem_gb: Sequence[float]) -> pd.DataFrame:
-        node = np.arange(len(mem_gb)) % cluster.n_nodes
-        return pd.DataFrame({"node": node, "component": component, "mem_gb": mem_gb})
-
-    actors = pd.concat(
-        [
-            placed("loader", loaders),
-            placed("constructor", [constructor] * cluster.dp),
-            placed("planner", [PLANNER_GB]),
-        ],
-        ignore_index=True,
-    )
-    return actors.groupby(["node", "component"], as_index=False)["mem_gb"].sum()
-
-
-def avg_mem_per_node(df: pd.DataFrame, n_nodes: int) -> float:
-    """Cluster-wide average memory per node (empty nodes count)."""
-    return float(df["mem_gb"].sum()) / n_nodes
+    return {
+        "loader": loaders,
+        "constructor": cluster.dp * constructor,
+        "planner": PLANNER_GB,
+    }
 
 
 def memory_ratio(
@@ -196,6 +167,4 @@ def memory_ratio(
         vanilla_workers=workers,
         worker_process_states=True,
     )
-    return avg_mem_per_node(over, cluster.n_nodes) / avg_mem_per_node(
-        colo, cluster.n_nodes
-    )
+    return sum(over.values()) / colo

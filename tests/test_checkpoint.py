@@ -201,6 +201,23 @@ class TestPlannerRestart:
         pd.testing.assert_frame_equal(got, _uninterrupted(1))
 
 
+class TestDeliveredStream:
+    def test_no_staged_rows_left(self, monkeypatch):
+        """Every step's staged rows are popped: no loader the loop built,
+        promoted or replayed still holds staged rows when it returns."""
+        built = []
+        init = SourceLoader.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(SourceLoader, "__init__", recording_init)
+        delivered_stream(12, kill_at=6, kills=[(0, "shadow"), (1, "replay")])
+        assert len(built) > 5
+        assert [len(ld.pop_staged()) for ld in built] == [0] * len(built)
+
+
 class TestExactlyOnce:
     """Whatever the failure step, killed set and recovery path of each
     killed loader, the mixture (staged or loss-adaptive), and whether the

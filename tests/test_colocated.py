@@ -7,7 +7,7 @@ from repro.core.placetree import ClientPlaceTree
 from repro.core.source_loader import WORKER_BASE_GB
 from repro.data.mixture import ConstantSchedule
 from repro.data.sources import coyo_lite
-from repro.sim.memsim import ClusterConfig, avg_mem_per_node, colocated_memory
+from repro.sim.memsim import ClusterConfig, colocated_memory
 
 
 @pytest.fixture
@@ -95,10 +95,9 @@ class TestMemory:
             tp=sys.tree.dims.get("TP", 1),
         )
         assert cluster.n_loader_ranks == sys.n_instances
-        mem = colocated_memory(
+        return colocated_memory(
             specs, cluster, workers=sys.workers, batch_bytes_per_group=batch_bytes
         )
-        return avg_mem_per_node(mem, 1)
 
     def test_memory_scales_with_instances(self, specs):
         small = self._total_gb(specs, make_system(specs, dp=2), 1e6)

@@ -5,7 +5,6 @@ from repro.core.autoscaler import ResourcePool, auto_partition
 from repro.data.sources import coyo_lite, navit_lite
 from repro.experiments.e1_preprocessing import run_all
 from repro.experiments.e3_redundancy import run_ablations, run_grid
-from repro.oracle import assert_equivalent
 from repro.sim import memsim as MS
 
 
@@ -31,74 +30,54 @@ class TestClusterConfig:
 class TestColocated:
     def test_per_node_memory(self):
         c = MS.ClusterConfig(n_nodes=4, gpus_per_node=4, tp=1, pp=1)
-        pdf = MS.colocated_memory(
+        total = MS.colocated_memory(
             SPECS, c, workers=2, batch_bytes_per_group=BATCH_BYTES
         )
-        assert list(pdf.columns) == ["node", "mem_gb"]
-        assert len(pdf) == 4
         states = sum(s.file_state_gb for s in SPECS)
         per_instance = 2 * (MS.WORKER_BASE_GB + states) + 2 * BATCH_BYTES / 1e9
         # 4 loader instances per node (tp=pp=cp=1)
-        assert pdf["mem_gb"].iloc[0] == pytest.approx(4 * per_instance)
+        assert total / c.n_nodes == pytest.approx(4 * per_instance)
+        # pp=2: dp=6 groups x 2 stages = 12 loader instances
+        c = MS.ClusterConfig(n_nodes=3, gpus_per_node=4, pp=2)
+        total = MS.colocated_memory(
+            SPECS, c, workers=2, batch_bytes_per_group=BATCH_BYTES
+        )
+        assert total == pytest.approx(12 * per_instance)
 
     def test_worker_scaling(self):
         c = MS.ClusterConfig(n_nodes=2, gpus_per_node=4)
-        m1 = MS.avg_mem_per_node(
-            MS.colocated_memory(SPECS, c, workers=1, batch_bytes_per_group=0), 2
-        )
-        m4 = MS.avg_mem_per_node(
-            MS.colocated_memory(SPECS, c, workers=4, batch_bytes_per_group=0), 2
-        )
+        m1 = MS.colocated_memory(SPECS, c, workers=1, batch_bytes_per_group=0)
+        m4 = MS.colocated_memory(SPECS, c, workers=4, batch_bytes_per_group=0)
         assert m4 == pytest.approx(4 * m1)
 
     def test_source_scaling_linear(self):
         c = MS.ClusterConfig(n_nodes=2, gpus_per_node=4)
-        few = MS.avg_mem_per_node(
-            MS.colocated_memory(navit_lite(20), c, workers=1, batch_bytes_per_group=0),
-            2,
-        )
-        many = MS.avg_mem_per_node(
-            MS.colocated_memory(navit_lite(40), c, workers=1, batch_bytes_per_group=0),
-            2,
-        )
+        few = MS.colocated_memory(navit_lite(20), c, workers=1, batch_bytes_per_group=0)
+        many = MS.colocated_memory(navit_lite(40), c, workers=1, batch_bytes_per_group=0)
         assert many > few  # linear memory growth with sources (§2.3)
-
-    def test_oracle(self):
-        c = MS.ClusterConfig(n_nodes=3, gpus_per_node=4, pp=2)
-        df = MS.colocated_memory(
-            SPECS, c, workers=2, batch_bytes_per_group=BATCH_BYTES
-        )
-        states = sum(s.file_state_gb for s in SPECS)
-        per_instance = 2 * (MS.WORKER_BASE_GB + states) + 2 * BATCH_BYTES / 1e9
-        assert_equivalent(
-            df,
-            f"SELECT node, count(*) * {per_instance} AS mem_gb "
-            "FROM ranks GROUP BY node",
-            ranks=MS._loader_ranks(c),
-        )
 
 
 class TestOverlord:
     def test_components_present(self):
         c = MS.ClusterConfig(n_nodes=2, gpus_per_node=4)
-        df = MS.overlord_memory(SPECS, c, batch_bytes_per_group=BATCH_BYTES)
-        assert list(df.columns) == ["node", "component", "mem_gb"]
-        assert set(df["component"]) == {"loader", "constructor", "planner"}
+        mem = MS.overlord_memory(SPECS, c, batch_bytes_per_group=BATCH_BYTES)
+        assert set(mem) == {"loader", "constructor", "planner"}
+        assert mem["planner"] == MS.PLANNER_GB
 
     def test_vanilla_one_actor_per_dp_group(self):
         c = MS.ClusterConfig(n_nodes=2, gpus_per_node=4)  # dp=8
-        df = MS.overlord_memory(SPECS, c, batch_bytes_per_group=0)
-        loaders = df.loc[df["component"] == "loader", "mem_gb"].sum()
+        mem = MS.overlord_memory(SPECS, c, batch_bytes_per_group=0)
         states = sum(s.file_state_gb for s in SPECS)
         one = MS.ACTOR_BASE_GB + 4 * MS.WORKER_BASE_GB + states
-        assert loaders == pytest.approx(8 * one)
+        assert mem["loader"] == pytest.approx(8 * one)
 
     def test_constructor_memory_scales_with_batch(self):
         c = MS.ClusterConfig(n_nodes=2, gpus_per_node=4)  # dp=8
 
         def constructors(batch_bytes):
-            df = MS.overlord_memory(SPECS, c, batch_bytes_per_group=batch_bytes)
-            return df.loc[df["component"] == "constructor", "mem_gb"].sum()
+            return MS.overlord_memory(SPECS, c, batch_bytes_per_group=batch_bytes)[
+                "constructor"
+            ]
 
         assert constructors(0) == pytest.approx(8 * MS.CONSTRUCTOR_BASE_GB)
         # PREFETCH in-flight copies + one staging copy per DP group
@@ -109,8 +88,8 @@ class TestOverlord:
     def test_auto_configs_accepted(self):
         c = MS.ClusterConfig(n_nodes=2, gpus_per_node=4)
         cfgs = auto_partition(SPECS, ResourcePool(64, 8.0))
-        df = MS.overlord_memory(SPECS, c, batch_bytes_per_group=0, configs=cfgs)
-        assert MS.avg_mem_per_node(df, 2) > 0
+        mem = MS.overlord_memory(SPECS, c, batch_bytes_per_group=0, configs=cfgs)
+        assert mem["loader"] > 0
 
 
 class TestRatio:

@@ -1,5 +1,6 @@
 """Unit tests for the Source Loader actor (synthetic read path; the
 Parquet read path is covered in test_spark_pipeline.py)."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -42,6 +43,17 @@ class TestFill:
         ld.fail()
         with pytest.raises(RuntimeError):
             ld.fill(1)
+
+    def test_summary_does_not_alias_buffer(self, spec):
+        ld = SourceLoader(spec)
+        ld.fill(8)
+        before = {c: v.copy() for c, v in ld.buffer.items()}
+        summary = ld.summary_buffer()
+        for c in ("row_idx", "text_len", "image_patches"):
+            summary[c].to_numpy()[:] = -1
+        summary.iloc[0, summary.columns.get_loc("source_id")] = -1
+        for c, v in before.items():
+            np.testing.assert_array_equal(ld.buffer[c], v)
 
 
 class TestSharding:
