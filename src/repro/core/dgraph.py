@@ -13,9 +13,9 @@ in-process Planner calls the graph on each step's metadata summary.
 
 Lineage: every primitive appends a (from_state, op, to_state) edge, the
 graph's "orchestration transparency" property; ``lineage_edges()``
-exposes it. ``select_modality`` creates a second graph over the same
-shared data dict with different metadata (the VLM image-graph pattern
-in Fig. 9).
+exposes it. ``select_modality`` creates a sibling graph that declares
+different metadata fields over the same buffer rows (the VLM image-graph
+pattern in Fig. 9).
 """
 from __future__ import annotations
 
@@ -63,9 +63,12 @@ def with_sample_id(df: DataFrame) -> DataFrame:
 @dataclass(frozen=True)
 class LoadingPlan:
     """Result of ``plan()``: sample → (bucket, microbatch) assignments
-    plus everything Data Constructors need to resolve consumers."""
+    plus everything Data Constructors need to resolve consumers.
+    ``assignments`` is a Spark frame from ``DGraph.plan`` and a pandas
+    frame when the in-process loop builds the plan over one step's rows;
+    ``to_pandas`` needs the Spark one."""
 
-    assignments: DataFrame
+    assignments: DataFrame | pd.DataFrame
     tree: ClientPlaceTree
     axis: str
     group_size: int | None
@@ -111,8 +114,8 @@ class DGraph:
     # -- construction -------------------------------------------------------
 
     def select_modality(self, fields: Sequence[str]) -> "DGraph":
-        """A sibling graph over the same shared data dict with different
-        metadata — e.g. an image graph next to a text graph."""
+        """A sibling graph over the same buffer rows with different
+        metadata fields — e.g. an image graph next to a text graph."""
         g = DGraph(tuple(fields))
         return replace(g, lineage=self._edge(g, "select_modality"))
 

@@ -138,8 +138,9 @@ class Planner:
     def constructor_do_plan(
         self, plan: StepPlan, loading_plan: LoadingPlan, context_length: int
     ) -> dict[int, DataConstructor]:
-        """Instantiate one Data Constructor per bucket over the staged
-        samples (the staged frame is the plan's assignment table)."""
+        """Instantiate one Data Constructor per bucket of ``loading_plan``
+        (the staged frame is the plan's assignment table). ``plan`` is
+        not used; the constructors read only ``loading_plan``."""
         return {
             b: DataConstructor(b, loading_plan, context_length)
             for b in range(self.graph.n_buckets)

@@ -91,15 +91,15 @@ def llm_balance(
     batch_size: int | None = None,
     n_microbatches: int = 1,
     method: str = "karmarkar_karp",
-    broadcast_tp: bool = True,
     intra_reorder: bool = True,
 ) -> LoadingPlan:
     """Fig. 9's unimodal strategy: distribute along DP, cost by fused
-    token count, balance inter-microbatch, broadcast at TP."""
+    token count, balance inter-microbatch, and broadcast at TP whenever
+    the mesh has TP > 1."""
     g = llm_graph(
         tree, backbone, schedule, batch_size, n_microbatches, method, intra_reorder
     )
-    if broadcast_tp and tree.dims.get("TP", 1) > 1:
+    if tree.dims["TP"] > 1:
         g = g.broadcast_at("TP")
     return g.plan(buffer_df)
 

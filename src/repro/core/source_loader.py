@@ -11,10 +11,12 @@ leave as frames only through ``summary_buffer()`` and ``pop_staged()``.
 
 The data path is Spark: ``fill()`` reads the next cursor range from the
 source's Parquet file via a predicate-pushdown range scan. When the
-loader was built without an on-disk source (pure-synthetic runs and
-replay after failure), rows are regenerated bit-identically from the
-counter-based generator instead — both paths produce the same rows, a
-property the tests assert.
+loader was built without an on-disk source (pure-synthetic runs), rows
+are regenerated bit-identically from the counter-based generator
+instead — both paths produce the same rows, a property the tests
+assert. Replay after a failure (:meth:`SourceLoader.resume`) is a
+``fill()`` too: a Parquet-backed loader re-scans its Parquet file and a
+synthetic one regenerates the rows.
 
 Worker parallelism is modelled explicitly: ``workers`` amortises the
 per-sample transformation latency (Worker Parallel in Fig. 10), and the
@@ -146,9 +148,10 @@ class SourceLoader:
         if n <= 0:
             return 0
         new = self._read_range(self.state.cursor, n)
-        self.state.cursor += n
+        got = len(new["row_idx"])  # fewer than n past a Parquet source's end
+        self.state.cursor += got
         self._buffer = {c: np.concatenate((v, new[c])) for c, v in self._buffer.items()}
-        return len(new["row_idx"])
+        return got
 
     # -- planner interface ---------------------------------------------------
 

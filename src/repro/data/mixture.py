@@ -85,6 +85,8 @@ class StagedSchedule(MixSchedule):
         starts = [s for s, _ in stages]
         if starts != sorted(starts) or starts[0] != 0:
             raise ValueError("stages must be sorted and start at step 0")
+        if len({len(w) for _, w in stages}) != 1:
+            raise ValueError("stage weight lengths differ")
         super().__init__(len(stages[0][1]))
         self._stages = [(s, _normalise(np.asarray(w))) for s, w in stages]
 

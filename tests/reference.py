@@ -10,8 +10,10 @@ faster versions against, result for result.
   boolean filter and one copied frame per microbatch.
 - :func:`client_payloads` — a microbatch's client payloads, its bytes
   read from its sample rows and the zig-zag CP ranges cut per rank.
-- :func:`consumers` — a bucket's consumers, found by asking every client
-  of the tree for its bucket.
+- :func:`n_buckets`, :func:`bucket_of`, :func:`consumers` and
+  :func:`selective_broadcast_groups` — the device mesh's questions
+  answered by walking each client's coordinates root to leaf, and
+  consumers found by asking every client for its bucket.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from repro.core.constructor import (
     zigzag_cp_shards,
 )
 from repro.core.dgraph import DGraph
-from repro.core.placetree import ClientPlaceTree
+from repro.core.placetree import AXIS_WORLD, DIMS, Client, ClientPlaceTree
 
 
 def karmarkar_karp(costs: np.ndarray, n_bins: int) -> np.ndarray:
@@ -176,6 +178,39 @@ def client_payloads(dc: DataConstructor, mb: Microbatch) -> dict[int, ClientPayl
     return payloads
 
 
+def n_buckets(tree: ClientPlaceTree, axis: str, group_size: int | None = None) -> int:
+    if axis == AXIS_WORLD:
+        n = tree.world_size
+    else:
+        if axis not in DIMS:
+            raise KeyError(axis)
+        # the product of degrees from the root down to ``axis``, leaving
+        # out PP: every PP stage of a DP group consumes the same batch
+        n = 1
+        for d in DIMS:
+            if d != "PP":
+                n *= tree.dims[d]
+            if d == axis:
+                break
+    return n if group_size is None else -(-n // group_size)
+
+
+def bucket_of(
+    tree: ClientPlaceTree, client: Client, axis: str, group_size: int | None = None
+) -> int:
+    raw = 0  # every PP stage shares bucket 0 along PP
+    if axis == AXIS_WORLD:
+        raw = client.rank
+    elif axis != "PP":
+        for d in DIMS:
+            if d == "PP":
+                continue
+            raw = raw * tree.dims[d] + client.coords[d]
+            if d == axis:
+                break
+    return raw if group_size is None else raw // group_size
+
+
 def consumers(
     tree: ClientPlaceTree,
     bucket: int,
@@ -183,18 +218,25 @@ def consumers(
     *,
     group_size: int | None = None,
     broadcast_dims: Sequence[str] = (),
-    metadata_only_pp: bool = True,
 ) -> dict[int, str]:
     out: dict[int, str] = {}
     for c in tree.clients:
-        if tree.bucket_of(c, axis, group_size) != bucket:
+        if bucket_of(tree, c, axis, group_size) != bucket:
             continue
         if any(c.coords.get(d, 0) > 0 for d in broadcast_dims):
             continue
-        if metadata_only_pp and c.coords.get("PP", 0) > 0:
+        if c.coords["PP"] > 0:
             out[c.rank] = "metadata"
-        elif axis == "DP" and tree.dims.get("CP", 1) > 1 and "CP" not in broadcast_dims:
+        elif axis == "DP" and tree.dims["CP"] > 1 and "CP" not in broadcast_dims:
             out[c.rank] = "shard"
         else:
             out[c.rank] = "full"
     return out
+
+
+def selective_broadcast_groups(tree: ClientPlaceTree, dim: str) -> list[list[int]]:
+    groups: dict[tuple[int, ...], list[int]] = {}
+    above = DIMS[: DIMS.index(dim)]
+    for c in tree.clients:
+        groups.setdefault(tuple(c.coords[d] for d in above), []).append(c.rank)
+    return [sorted(v) for _, v in sorted(groups.items())]

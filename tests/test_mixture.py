@@ -71,6 +71,10 @@ class TestStaged:
         with pytest.raises(ValueError):
             StagedSchedule([])
 
+    def test_stage_lengths_must_match(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            StagedSchedule([(0, [1, 1]), (3, [1, 1, 1])])
+
 
 class TestWarmup:
     def test_endpoints(self):

@@ -89,6 +89,14 @@ class TestParquetLoaders:
         )
         assert rows == list(range(10))
 
+    def test_fill_past_end_advances_cursor_by_rows_read(self, spark, parquet_paths):
+        spec = SPECS[0]
+        ld = SourceLoader(spec, spark=spark, path=parquet_paths[spec.name])
+        assert ld.fill(200) == 120
+        assert ld.state.cursor == 120
+        assert ld.fill(5) == 0
+        assert ld.checkpoint()["cursor"] == 120
+
 
 class TestPlannerWorkflow:
     def _loaders(self, seed=9):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placetree import AXIS_WORLD, ClientPlaceTree
+from repro.core.placetree import AXIS_WORLD, DIMS, ClientPlaceTree
 from tests import reference
 
 
@@ -35,11 +35,11 @@ class TestConstruction:
 
     def test_rejects_missing_dim(self):
         with pytest.raises(KeyError):
-            ClientPlaceTree({"DP": 2}, order=("DP", "TP"))
+            ClientPlaceTree({"DP": 2, "CP": 1, "TP": 2})
 
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError):
-            ClientPlaceTree({"DP": 2, "TP": 2, "CP": 2}, order=("DP", "TP"))
+            ClientPlaceTree({"PP": 1, "DP": 2, "CP": 1, "TP": 2, "EP": 2})
 
 
 class TestBuckets:
@@ -65,13 +65,11 @@ class TestBuckets:
     def test_group_size_coalesces(self):
         t = ClientPlaceTree.from_degrees(pp=1, dp=8, cp=1, tp=1)
         assert t.n_buckets("DP", group_size=3) == 3  # ceil(8/3)
-        assign = t.bucket_assignment("DP", group_size=3)
-        assert set(assign.values()) == {0, 1, 2}
+        assert {t.bucket_of(c, "DP", group_size=3) for c in t.clients} == {0, 1, 2}
 
     def test_bucket_assignment_covers_all_buckets(self):
         t = ClientPlaceTree.from_degrees(pp=2, dp=4, cp=2, tp=2)
-        assign = t.bucket_assignment("DP")
-        assert set(assign.values()) == set(range(4))
+        assert {t.bucket_of(c, "DP") for c in t.clients} == set(range(4))
 
     def test_same_dp_group_same_bucket(self):
         t = ClientPlaceTree.from_degrees(pp=2, dp=2, cp=2, tp=2)
@@ -133,22 +131,28 @@ class TestConsumers:
 
     @given(
         st.fixed_dictionaries({d: st.integers(1, 3) for d in ("pp", "dp", "cp", "tp")}),
-        st.lists(st.sampled_from(("PP", "CP", "TP")), max_size=2, unique=True),
-        st.booleans(),
+        st.lists(st.sampled_from(DIMS), max_size=2, unique=True),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_reference(self, degrees, broadcast_dims, metadata_only_pp):
+    def test_matches_reference(self, degrees, broadcast_dims):
         # one tree serves every (axis, group_size) in turn, as a plan's
-        # constructors share their plan's tree
+        # constructors share their plan's tree; the oracle walks each
+        # client's coordinates instead of the rank rule
         t = ClientPlaceTree.from_degrees(**degrees)
-        for axis in ("DP", "CP", AXIS_WORLD):
+        for dim in DIMS:
+            assert t.selective_broadcast_groups(dim) == (
+                reference.selective_broadcast_groups(t, dim)
+            )
+        for axis in (*DIMS, AXIS_WORLD):
             for group_size in (None, 1, 2, 3):
-                kw = dict(
-                    group_size=group_size,
-                    broadcast_dims=tuple(broadcast_dims),
-                    metadata_only_pp=metadata_only_pp,
-                )
-                for b in range(t.n_buckets(axis, group_size) + 1):
+                n = t.n_buckets(axis, group_size)
+                assert n == reference.n_buckets(t, axis, group_size)
+                for c in t.clients:
+                    assert t.bucket_of(c, axis, group_size) == (
+                        reference.bucket_of(t, c, axis, group_size)
+                    )
+                kw = dict(group_size=group_size, broadcast_dims=tuple(broadcast_dims))
+                for b in range(-1, n + 1):
                     got = t.consumers(b, axis, **kw)
                     want = reference.consumers(t, b, axis, **kw)
                     assert list(got.items()) == list(want.items())
@@ -183,11 +187,11 @@ class TestSelectiveBroadcast:
 class TestDpGroup:
     def test_group_size(self):
         t = ClientPlaceTree.from_degrees(pp=2, dp=2, cp=2, tp=2)
-        assert len(t.dp_group_clients(0)) == 8  # pp*cp*tp
+        assert len(t.consumers(0, "DP")) == 8  # pp*cp*tp
 
     def test_groups_disjoint(self):
         t = ClientPlaceTree.from_degrees(pp=2, dp=2, cp=2, tp=2)
-        r0 = {c.rank for c in t.dp_group_clients(0)}
-        r1 = {c.rank for c in t.dp_group_clients(1)}
+        r0 = set(t.consumers(0, "DP"))
+        r1 = set(t.consumers(1, "DP"))
         assert not (r0 & r1)
         assert r0 | r1 == set(range(16))
